@@ -45,6 +45,9 @@ let loop_options config trip =
 
 let count_nonzero l = List.length (List.filter (fun s -> s > 0) l)
 
+let count_nonzero_array a =
+  Array.fold_left (fun acc s -> if s > 0 then acc + 1 else acc) 0 a
+
 let rec product (options : int list list) : int list Seq.t =
   match options with
   | [] -> Seq.return []
@@ -56,10 +59,10 @@ let rec product (options : int list list) : int list Seq.t =
 (* One schedule from (par combo option, tile combo, swap option). *)
 let assemble ~prefix ~par_opt ~tile_combo ~swap_opt =
   (match par_opt with
-  | Some sizes when count_nonzero (Array.to_list sizes) > 0 ->
+  | Some sizes when count_nonzero_array sizes > 0 ->
       [ Schedule.Parallelize sizes ]
   | Some _ | None -> [])
-  @ (if count_nonzero (Array.to_list tile_combo) > 0 then
+  @ (if count_nonzero_array tile_combo > 0 then
        [ Schedule.Tile tile_combo ]
      else [])
   @ (match swap_opt with Some i -> [ Schedule.Swap i ] | None -> [])
@@ -102,39 +105,45 @@ let make_space config ~prefix ~trips ~iter_kinds =
   in
   { prefix; trips; par_slots; swap_opts }
 
+(* The par-combo stream of a space: None (no Parallelize step) first,
+   then every nonzero combination of the parallel slots, head slot
+   varying slowest — shared by the exhaustive stream, the sequential
+   DFS and the frontier decomposition so all enumerate in the same
+   order. *)
+let par_combos (space : domain_space) : int array option Seq.t =
+  let n = Array.length space.trips in
+  Seq.cons None
+    (Seq.filter_map
+       (fun combo ->
+         if count_nonzero combo = 0 then None
+         else begin
+           let sizes = Array.make n 0 in
+           List.iter2
+             (fun (l, _) size -> sizes.(l) <- size)
+             space.par_slots combo;
+           Some (Some sizes)
+         end)
+       (product (List.map snd space.par_slots)))
+
+(* Trip counts the tile step sees under a parallel combo: a loop tiled
+   for parallelism keeps [size] iterations in its point loop. *)
+let effective_trips (space : domain_space) = function
+  | None -> space.trips
+  | Some sizes ->
+      Array.mapi (fun l s -> if s > 0 then s else space.trips.(l)) sizes
+
+let par_count = function
+  | None -> 0
+  | Some sizes -> count_nonzero_array sizes
+
 (* Exhaustive stream over one domain space. *)
 let space_candidates config (space : domain_space) : Schedule.t Seq.t =
-  let n = Array.length space.trips in
-  let par_combos : int array option Seq.t =
-    let slot_opts = List.map snd space.par_slots in
-    Seq.cons None
-      (Seq.filter_map
-         (fun combo ->
-           if count_nonzero combo = 0 then None
-           else begin
-             let sizes = Array.make n 0 in
-             List.iteri
-               (fun k size -> sizes.(fst (List.nth space.par_slots k)) <- size)
-               combo;
-             Some (Some sizes)
-           end)
-         (product slot_opts))
-  in
   Seq.concat_map
     (fun par_opt ->
-      let effective =
-        match par_opt with
-        | None -> space.trips
-        | Some sizes ->
-            Array.mapi (fun l s -> if s > 0 then s else space.trips.(l)) sizes
-      in
-      let par_count =
-        match par_opt with
-        | None -> 0
-        | Some sizes -> count_nonzero (Array.to_list sizes)
-      in
+      let par_count = par_count par_opt in
       let tile_opts =
-        Array.to_list (Array.map (fun trip -> loop_options config trip) effective)
+        Array.to_list
+          (Array.map (loop_options config) (effective_trips space par_opt))
       in
       Seq.concat_map
         (fun tile_combo ->
@@ -147,7 +156,7 @@ let space_candidates config (space : domain_space) : Schedule.t Seq.t =
                   ~tile_combo:(Array.of_list tile_combo) ~swap_opt)
               (List.to_seq space.swap_opts))
         (product tile_opts))
-    par_combos
+    (par_combos space)
 
 (* [loop_options] enumerates, filters and sorts divisors — far too
    expensive to redo per sampling attempt per loop (the sampling loops
@@ -164,9 +173,22 @@ let loop_options_memo config =
         Hashtbl.add tbl trip opts;
         opts
 
+(* One sampled point of a domain space: the decisions [assemble] turns
+   into a schedule. *)
+type draw = {
+  d_space : domain_space;
+  d_par : int array option;  (* None, or a combo with a nonzero size *)
+  d_tile : int array;
+  d_swap : int option;
+}
+
+let schedule_of_draw d =
+  assemble ~prefix:d.d_space.prefix ~par_opt:d.d_par ~tile_combo:d.d_tile
+    ~swap_opt:d.d_swap
+
 (* Seeded random draw from one domain space. [opts] is the (memoized)
    tile-size option list per trip count. *)
-let random_candidate rng config ~opts (space : domain_space) =
+let random_draw rng config ~opts (space : domain_space) =
   let n = Array.length space.trips in
   let par_opt =
     if space.par_slots <> [] && Util.Rng.bool rng then begin
@@ -178,25 +200,22 @@ let random_candidate rng config ~opts (space : domain_space) =
     end
     else None
   in
-  let effective =
-    match par_opt with
-    | None -> space.trips
-    | Some sizes -> Array.mapi (fun l s -> if s > 0 then s else space.trips.(l)) sizes
-  in
   let tile_combo =
-    Array.map (fun trip -> Util.Rng.choice_list rng (opts trip)) effective
+    Array.map
+      (fun trip -> Util.Rng.choice_list rng (opts trip))
+      (effective_trips space par_opt)
   in
-  let count_nonzero_arr a =
-    Array.fold_left (fun acc s -> if s > 0 then acc + 1 else acc) 0 a
-  in
-  let par_count =
-    match par_opt with None -> 0 | Some sizes -> count_nonzero_arr sizes
-  in
-  if par_count + count_nonzero_arr tile_combo < config.min_tiled_loops then None
-  else begin
-    let swap_opt = Util.Rng.choice_list rng space.swap_opts in
-    Some (assemble ~prefix:space.prefix ~par_opt ~tile_combo ~swap_opt)
-  end
+  if par_count par_opt + count_nonzero_array tile_combo
+     < config.min_tiled_loops
+  then None
+  else
+    Some
+      {
+        d_space = space;
+        d_par = par_opt;
+        d_tile = tile_combo;
+        d_swap = Util.Rng.choice_list rng space.swap_opts;
+      }
 
 let spaces config (op : Linalg.t) =
   let plain =
@@ -240,25 +259,93 @@ let space_total config op =
    reason. Pinned by a determinism test. *)
 let sampling_seed (op : Linalg.t) = Hashtbl.hash (Linalg.digest op)
 
-(* The par-combo stream of a space: None (no Parallelize step) first,
-   then every nonzero combination of the parallel slots, head slot
-   varying slowest — shared by the sequential DFS and the frontier
-   decomposition so both enumerate in the same order. *)
-let par_combos (space : domain_space) : int array option Seq.t =
-  let n = Array.length space.trips in
-  let slot_opts = List.map snd space.par_slots in
-  Seq.cons None
-    (Seq.filter_map
-       (fun combo ->
-         if count_nonzero combo = 0 then None
-         else begin
-           let sizes = Array.make n 0 in
-           List.iteri
-             (fun k size -> sizes.(fst (List.nth space.par_slots k)) <- size)
-             combo;
-           Some (Some sizes)
-         end)
-       (product slot_opts))
+(* The budgeted sampling stream every sampled path draws from: seeded
+   draws over the spaces [sps] of [op], without replacement. [next ()]
+   returns the next unseen draw with its schedule, or None once
+   [max_schedules * 20] attempts are spent. [seen] is the caller's dedup
+   table; its keys are structural schedules — generic hashing beats
+   building a string per attempt, and bucket collisions fall back to
+   full structural equality, so dedup stays exact. *)
+let sampler config op sps ~seen =
+  let rng = Util.Rng.create (sampling_seed op) in
+  let opts = loop_options_memo config in
+  let attempts = ref 0 in
+  let max_attempts = config.max_schedules * 20 in
+  let rec next () =
+    if !attempts >= max_attempts then None
+    else begin
+      incr attempts;
+      let space = Util.Rng.choice_list rng sps in
+      match random_draw rng config ~opts space with
+      | None -> next ()
+      | Some d ->
+          let sched = schedule_of_draw d in
+          if Hashtbl.mem seen sched then next ()
+          else begin
+            Hashtbl.add seen sched ();
+            Some (d, sched)
+          end
+    end
+  in
+  next
+
+let apply_opt state tr = Result.to_option (Sched_state.apply state tr)
+
+(* Prefix states shared by the candidates of one search, per space: the
+   root with the space prefix applied and, filled on demand, the state
+   after (prefix; Parallelize sizes) per parallel combo. A sampled
+   candidate then applies only its own Tile, Swap and Vectorize instead
+   of replaying [Sched_state.apply_all] from [init] — which re-lowers
+   the op, re-runs im2col and re-tiles for parallelism every time. None
+   marks a prefix that fails to apply, failing every candidate that
+   extends it, exactly as [apply_all] would. *)
+type space_states = {
+  prefixed : Sched_state.t option;
+  after_par : (int array, Sched_state.t option) Hashtbl.t;
+}
+
+let apply_prefix root (space : domain_space) =
+  List.fold_left
+    (fun acc tr -> Option.bind acc (fun s -> apply_opt s tr))
+    (Some root) space.prefix
+
+let prefix_memo root sps =
+  List.map
+    (fun space ->
+      let prefixed = apply_prefix root space in
+      (space, { prefixed; after_par = Hashtbl.create 64 }))
+    sps
+
+(* The state after a draw's (prefix; parallelize) steps. *)
+let draw_prefix memo d =
+  let ss = List.assq d.d_space memo in
+  match (ss.prefixed, d.d_par) with
+  | None, _ -> None
+  | Some pre, None -> Some pre
+  | Some pre, Some sizes -> (
+      match Hashtbl.find_opt ss.after_par sizes with
+      | Some s -> s
+      | None ->
+          let s = apply_opt pre (Schedule.Parallelize sizes) in
+          Hashtbl.add ss.after_par sizes s;
+          s)
+
+(* The rest of a draw from its prefix state: the terminal state
+   [Sched_state.apply_all] reaches on [schedule_of_draw d], or None
+   where it fails. Pure, so any domain may run it. *)
+let finish_draw d after_par =
+  let ( let* ) = Option.bind in
+  let* after_tile =
+    if count_nonzero_array d.d_tile > 0 then
+      apply_opt after_par (Schedule.Tile d.d_tile)
+    else Some after_par
+  in
+  let* swapped =
+    match d.d_swap with
+    | None -> Some after_tile
+    | Some i -> apply_opt after_tile (Schedule.Swap i)
+  in
+  apply_opt swapped Schedule.Vectorize
 
 (* A frontier subtask: one independent subtrie of the (prefix;
    parallelize; tile; swap; vectorize) decision trie — a space with its
@@ -295,33 +382,16 @@ let subtasks ?(frontier_depth = 0) config op =
   let root = Sched_state.init op in
   let tasks = ref [] in
   List.iter
-    (fun (space : domain_space) ->
-      let prefixed =
-        List.fold_left
-          (fun acc tr -> Result.bind acc (fun s -> Sched_state.apply s tr))
-          (Ok root) space.prefix
-      in
-      match prefixed with
-      | Error _ -> ()
-      | Ok pre ->
+    (fun space ->
+      match apply_prefix root space with
+      | None -> ()
+      | Some pre ->
           Seq.iter
             (fun par_opt ->
-              let effective =
-                match par_opt with
-                | None -> space.trips
-                | Some sizes ->
-                    Array.mapi
-                      (fun l s -> if s > 0 then s else space.trips.(l))
-                      sizes
-              in
-              let par_count =
-                match par_opt with
-                | None -> 0
-                | Some sizes -> count_nonzero (Array.to_list sizes)
-              in
               let tile_opts =
                 Array.to_list
-                  (Array.map (fun trip -> loop_options config trip) effective)
+                  (Array.map (loop_options config)
+                     (effective_trips space par_opt))
               in
               let head_opts, rest_opts = split_at frontier_depth tile_opts in
               Seq.iter
@@ -331,7 +401,7 @@ let subtasks ?(frontier_depth = 0) config op =
                       st_space = space;
                       st_pre = pre;
                       st_par = par_opt;
-                      st_par_count = par_count;
+                      st_par_count = par_count par_opt;
                       st_tile_prefix = tile_prefix;
                       st_rest_opts = rest_opts;
                     }
@@ -431,9 +501,14 @@ let iter_candidates_shared config op
   | Error _ -> ());
   List.iter (fun st -> run_subtask config st ~eval) tasks
 
-(* The shared skeleton of [search]/[search_naive]: bookkeeping plus the
-   budgeted sampling fallback; only the exhaustive branch differs. *)
-let search_with ~exhaustive ?(config = default_config) evaluator op =
+(* The shared skeleton of [search] and [search_naive]: bookkeeping, the
+   exhaustive branch and the budgeted sampling fallback. [naive] replays
+   every candidate with [Sched_state.apply_all] — the differential
+   oracle; otherwise the exhaustive branch is the prefix-sharing DFS and
+   sampled candidates resume from their memoized prefix states. The
+   same applications in the same order yield the same states, so both
+   produce the same results. *)
+let search_with ~naive ?(config = default_config) evaluator op =
   let best_schedule = ref [ Schedule.Vectorize ] in
   let best_speedup = ref 0.0 in
   let explored = ref 0 in
@@ -452,32 +527,36 @@ let search_with ~exhaustive ?(config = default_config) evaluator op =
     | Ok speedup -> record sched speedup
   in
   let sps = spaces config op in
-  let total_size = space_total config op in
-  if total_size <= config.max_schedules then
+  if space_total config op <= config.max_schedules then begin
     (* Small space: full exhaustive enumeration. *)
-    exhaustive config op ~evaluate ~record
+    if naive then Seq.iter evaluate (candidates config op)
+    else
+      iter_candidates_shared config op ~eval:(fun sched final ->
+          record sched (Evaluator.speedup evaluator final))
+  end
   else begin
     (* Large space: budgeted seeded sampling without replacement. *)
+    let evaluate_draw =
+      if naive then fun (_, sched) -> evaluate sched
+      else begin
+        let memo = prefix_memo (Sched_state.init op) sps in
+        fun (d, sched) ->
+          Option.iter
+            (fun final -> record sched (Evaluator.speedup evaluator final))
+            (Option.bind (draw_prefix memo d) (finish_draw d))
+      end
+    in
     evaluate [ Schedule.Vectorize ];
-    let rng = Util.Rng.create (sampling_seed op) in
-    let opts = loop_options_memo config in
-    let seen = Hashtbl.create 1024 in
-    let attempts = ref 0 in
-    let max_attempts = config.max_schedules * 20 in
-    while !explored < config.max_schedules && !attempts < max_attempts do
-      incr attempts;
-      let space = Util.Rng.choice_list rng sps in
-      match random_candidate rng config ~opts space with
-      | None -> ()
-      | Some sched ->
-          (* Structural keys: generic hashing beats building a string
-             per attempt, and bucket collisions fall back to full
-             structural equality, so dedup stays exact. *)
-          if not (Hashtbl.mem seen sched) then begin
-            Hashtbl.add seen sched ();
-            evaluate sched
-          end
-    done
+    let next = sampler config op sps ~seen:(Hashtbl.create 1024) in
+    let rec loop () =
+      if !explored < config.max_schedules then
+        match next () with
+        | None -> ()
+        | Some draw ->
+            evaluate_draw draw;
+            loop ()
+    in
+    loop ()
   end;
   {
     best_schedule = !best_schedule;
@@ -547,53 +626,49 @@ let search_parallel ~config ~frontier_depth ~pool evaluator op =
     (* Sampled fallback: candidate DRAWS stay sequential on this domain
        — the rng / dedup / attempts stream is exactly the jobs=1 one —
        and only evaluations fan out, in chunks merged in draw order.
-       Each chunk asks for at most the remaining budget, so successes
-       never overflow it; when chunk evaluations fail ([apply_all]
-       errors) the next chunk draws more, just as the sequential loop
+       The draws also resolve their memoized prefix states here (the
+       memo is this domain's), so pool tasks start from shared
+       immutable states. Each chunk asks for at most the remaining
+       budget, so successes never overflow it; when chunk evaluations
+       fail the next chunk draws more, just as the sequential loop
        redraws after a failure. *)
     (match Evaluator.schedule_speedup evaluator op [ Schedule.Vectorize ] with
     | Error _ -> ()
     | Ok s -> record [ Schedule.Vectorize ] s);
     let base = Par_eval.noise_base evaluator in
-    let rng = Util.Rng.create (sampling_seed op) in
-    let opts = loop_options_memo config in
-    let seen = Hashtbl.create 1024 in
-    let attempts = ref 0 in
-    let max_attempts = config.max_schedules * 20 in
+    let next = sampler config op sps ~seen:(Hashtbl.create 1024) in
+    let memo = prefix_memo (Sched_state.init op) sps in
+    let rec draw_chunk k acc =
+      if k = 0 then List.rev acc
+      else
+        match next () with
+        | None -> List.rev acc
+        | Some (d, sched) ->
+            draw_chunk (k - 1) ((d, sched, draw_prefix memo d) :: acc)
+    in
     let cand_idx = ref 0 in
     let exhausted = ref false in
     while (not !exhausted) && !explored < config.max_schedules do
-      let want = min sampling_chunk (config.max_schedules - !explored) in
-      let chunk = ref [] in
-      let got = ref 0 in
-      while !got < want && !attempts < max_attempts do
-        incr attempts;
-        let space = Util.Rng.choice_list rng sps in
-        match random_candidate rng config ~opts space with
-        | None -> ()
-        | Some sched ->
-            if not (Hashtbl.mem seen sched) then begin
-              Hashtbl.add seen sched ();
-              chunk := sched :: !chunk;
-              incr got
-            end
-      done;
-      match List.rev !chunk with
+      match
+        draw_chunk (min sampling_chunk (config.max_schedules - !explored)) []
+      with
       | [] -> exhausted := true
       | chunk ->
           let tagged =
-            Array.of_list
-              (List.mapi (fun k sched -> (!cand_idx + k, sched)) chunk)
+            Array.of_list (List.mapi (fun k c -> (!cand_idx + k, c)) chunk)
           in
           cand_idx := !cand_idx + List.length chunk;
           let results =
             Util.Domain_pool.map_array pool
-              (fun (i, sched) ->
+              (fun (i, (d, _, after_par)) ->
                 let fork = Par_eval.derived_fork evaluator ~base ~stream:i in
                 (* Bind before reading the counter: tuple components
                    evaluate right-to-left, so an inline pair would read
                    [explored] before the evaluation bumps it. *)
-                let r = Evaluator.schedule_speedup fork op sched in
+                let r =
+                  Option.map (Evaluator.speedup fork)
+                    (Option.bind after_par (finish_draw d))
+                in
                 (r, Evaluator.explored fork))
               tagged
           in
@@ -602,8 +677,10 @@ let search_parallel ~config ~frontier_depth ~pool evaluator op =
               delta := !delta + d;
               if !explored < config.max_schedules then
                 match r with
-                | Ok s -> record (snd tagged.(k)) s
-                | Error _ -> ())
+                | Some s ->
+                    let _, (_, sched, _) = tagged.(k) in
+                    record sched s
+                | None -> ())
             results
     done
   end;
@@ -619,17 +696,13 @@ let search ?(config = default_config) ?(jobs = 1) ?pool
     ?(frontier_depth = default_frontier_depth) evaluator op =
   if jobs < 1 then invalid_arg "Auto_scheduler.search: jobs must be >= 1";
   if jobs = 1 && Option.is_none pool then
-    search_with ~config evaluator op
-      ~exhaustive:(fun config op ~evaluate:_ ~record ->
-        iter_candidates_shared config op ~eval:(fun sched final ->
-            record sched (Evaluator.speedup evaluator final)))
+    search_with ~naive:false ~config evaluator op
   else
     Par_eval.with_pool ?pool ~jobs (fun pool ->
         search_parallel ~config ~frontier_depth ~pool evaluator op)
 
 let search_naive ?config evaluator op =
-  search_with ?config evaluator op ~exhaustive:(fun config op ~evaluate ~record:_ ->
-      Seq.iter evaluate (candidates config op))
+  search_with ~naive:true ?config evaluator op
 
 (* Staged re-ranking: a cheap learned ranker scores every candidate in
    the budgeted set WITHOUT applying it (the surrogate's features come
@@ -645,33 +718,22 @@ let default_rerank_k = 64
 
 let gather_candidates config op =
   let sps = spaces config op in
-  let total_size = space_total config op in
-  if total_size <= config.max_schedules then
+  if space_total config op <= config.max_schedules then
     List.of_seq (candidates config op)
   else begin
     (* Same seeded sampling-without-replacement stream the exact search
        falls back to, collected instead of evaluated. *)
-    let rng = Util.Rng.create (sampling_seed op) in
-    let opts = loop_options_memo config in
     let seen = Hashtbl.create 1024 in
-    let out = ref [ [ Schedule.Vectorize ] ] in
     Hashtbl.add seen [ Schedule.Vectorize ] ();
-    let collected = ref 1 in
-    let attempts = ref 0 in
-    let max_attempts = config.max_schedules * 20 in
-    while !collected < config.max_schedules && !attempts < max_attempts do
-      incr attempts;
-      let space = Util.Rng.choice_list rng sps in
-      match random_candidate rng config ~opts space with
-      | None -> ()
-      | Some sched ->
-          if not (Hashtbl.mem seen sched) then begin
-            Hashtbl.add seen sched ();
-            out := sched :: !out;
-            incr collected
-          end
-    done;
-    List.rev !out
+    let next = sampler config op sps ~seen in
+    let rec collect n acc =
+      if n >= config.max_schedules then List.rev acc
+      else
+        match next () with
+        | None -> List.rev acc
+        | Some (_, sched) -> collect (n + 1) (sched :: acc)
+    in
+    collect 1 [ [ Schedule.Vectorize ] ]
   end
 
 let search_staged ?(config = default_config) ?ranker

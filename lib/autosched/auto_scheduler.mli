@@ -73,10 +73,14 @@ val search :
     When the space fits the budget, the exhaustive enumeration runs as
     a prefix-sharing DFS: each transformation is applied once per
     distinct schedule prefix instead of once per candidate containing
-    it, and evaluation goes through the evaluator's state-seconds
-    transposition cache. Results (best schedule, speedup, explored,
-    trace) are bit-identical to {!search_naive} — the differential
-    property suite asserts it.
+    it. Past the budget, the sampled candidates share prefix states the
+    same way: the search keeps the root, the im2col-prefixed root and
+    the state after each drawn parallel combo, and applies only each
+    candidate's tile, swap and vectorize steps. Evaluation goes through
+    the evaluator's state-seconds transposition cache. Results (best
+    schedule, speedup, explored, trace) are bit-identical to
+    {!search_naive} on both branches — the differential property suite
+    asserts it.
 
     [jobs] (default 1; [Invalid_argument] below 1) parallelizes
     evaluation over OCaml domains: the decision trie splits at
@@ -93,11 +97,12 @@ val search :
     [jobs] workers is created and torn down around the call. *)
 
 val search_naive : ?config:config -> Evaluator.t -> Linalg.t -> result
-(** Reference implementation: re-applies every candidate from scratch
-    with {!Sched_state.apply_all} (no prefix sharing). Pair it with an
-    evaluator created with [~state_cache_capacity:0] for the fully
-    unmemoized baseline the differential tests and the evalcache bench
-    compare against. *)
+(** Reference implementation: re-applies every candidate, exhaustive or
+    sampled, from scratch with {!Sched_state.apply_all} (no prefix
+    sharing, no memoized prefix states). Pair it with an evaluator
+    created with [~state_cache_capacity:0] for the fully unmemoized
+    baseline the differential tests and the evalcache bench compare
+    against. *)
 
 val default_rerank_k : int
 (** Exact re-evaluation budget of {!search_staged} (64). *)

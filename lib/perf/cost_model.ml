@@ -59,65 +59,60 @@ let gather_refs (nest : Loop_nest.t) =
       { info with const_spread = Array.map2 (fun h l -> h - l) hi lo } :: acc)
     tbl []
 
-(* Bounding-box extent of array dim [d] when loops [from_depth..n-1]
-   iterate fully and the others are fixed. *)
-let dim_extent (r : ref_info) trips ~from_depth d =
-  let e = r.idx.(d) in
-  let ext = ref (1 + r.const_spread.(d)) in
-  Array.iteri
-    (fun l c ->
-      if l >= from_depth && c <> 0 then ext := !ext + (abs c * (trips.(l) - 1)))
-    e.Affine.coeffs;
-  min !ext r.shape.(d)
-
-(* True when the last array dimension is traversed densely by some loop
-   in the region, enabling spatial line reuse. A merged group with
-   constant spread s and coefficient c covers offsets {0..s} every c
-   elements, so it is dense whenever |c| <= s + 1 (e.g. plain unit
-   stride, or an 8-way unrolled stride-8 access). *)
-let dense_last_dim (r : ref_info) ~from_depth =
-  let last = Array.length r.idx - 1 in
-  if last < 0 then false
-  else
-    let e = r.idx.(last) in
-    let max_step = r.const_spread.(last) + 1 in
-    let dense = ref false in
-    Array.iteri
-      (fun l c ->
-        if l >= from_depth && abs c >= 1 && abs c <= max_step then dense := true)
-      e.Affine.coeffs;
-    !dense
-
-let distinct_lines machine (r : ref_info) trips ~from_depth =
+(* Distinct cache lines [r] touches at every region depth: lines.(d)
+   for loops d..n-1 iterating fully and the outer ones fixed. One
+   backward sweep over the loops carries, per array dim, the integer
+   bounding-box extent of the region (1 + constant spread + |c| * (trip
+   - 1) for every loop of the region whose coefficient c on that dim is
+   nonzero, clamped to the dim's shape), and whether some loop of the
+   region traverses the last dim densely, enabling spatial line reuse.
+   A merged group with constant spread s and coefficient c covers
+   offsets {0..s} every c elements, so it is dense whenever |c| <= s + 1
+   (e.g. plain unit stride, or an 8-way unrolled stride-8 access). The
+   extents are exact integer sums, so the order the sweep adds them in
+   does not matter; the float product must multiply dims 0..nd-2 in
+   order and then the last dim's lines, which the estimate bits pinned
+   in test_perf depend on. *)
+let region_lines machine (r : ref_info) trips =
+  let n = Array.length trips in
   let nd = Array.length r.shape in
-  if nd = 0 then 1.0
-  else begin
+  let lines = Array.make (n + 1) 1.0 in
+  if nd > 0 then begin
     let elems_per_line =
       machine.Machine.l1.Machine.line_bytes / machine.Machine.elem_bytes
     in
-    let last_extent = dim_extent r trips ~from_depth (nd - 1) in
-    let last_lines =
-      if dense_last_dim r ~from_depth then
-        float_of_int
-          ((last_extent + elems_per_line - 1) / elems_per_line)
-      else float_of_int last_extent
-    in
-    let other = ref 1.0 in
-    for d = 0 to nd - 2 do
-      other := !other *. float_of_int (dim_extent r trips ~from_depth d)
-    done;
-    Float.max 1.0 (!other *. last_lines)
-  end
+    let last = nd - 1 in
+    let max_step = r.const_spread.(last) + 1 in
+    let span = Array.map (fun s -> 1 + s) r.const_spread in
+    let dense = ref false in
+    for d = n downto 0 do
+      if d < n then begin
+        for k = 0 to last do
+          span.(k) <-
+            span.(k) + (abs r.idx.(k).Affine.coeffs.(d) * (trips.(d) - 1))
+        done;
+        let c = abs r.idx.(last).Affine.coeffs.(d) in
+        if c >= 1 && c <= max_step then dense := true
+      end;
+      let extent k = min span.(k) r.shape.(k) in
+      let last_lines =
+        if !dense then
+          float_of_int ((extent last + elems_per_line - 1) / elems_per_line)
+        else float_of_int (extent last)
+      in
+      let other = ref 1.0 in
+      for k = 0 to last - 1 do
+        other := !other *. float_of_int (extent k)
+      done;
+      lines.(d) <- Float.max 1.0 (!other *. last_lines)
+    done
+  end;
+  lines
 
 (* Reuse tables shared by every cache level of one estimate: per
-   reference, its distinct lines at every region depth (lines.(d) for
-   loops d..n-1 iterating), and per depth the total working-set bytes.
-   Previously each of the three cache-level charges recomputed both
-   ([footprint_bytes] per depth, plus the depth-0 lines per reference)
-   — the one-pass tables make [estimate] hash the memory behaviour of
-   the gathered references exactly once. The fold over [refs] keeps the
-   reference order and the per-term expression of the old
-   [footprint_bytes], so the float sums are bit-identical. *)
+   reference, its distinct lines at every region depth, and per depth
+   the total working-set bytes. The footprint fold visits the
+   references in [gather_refs] order, so its float sums are fixed. *)
 type reuse_tables = {
   ref_lines : (ref_info * float array) list;  (* gather_refs order *)
   footprints : float array;  (* bytes of the region at each depth *)
@@ -125,12 +120,7 @@ type reuse_tables = {
 
 let reuse_tables machine refs trips =
   let n = Array.length trips in
-  let ref_lines =
-    List.map
-      (fun r ->
-        (r, Array.init (n + 1) (fun d -> distinct_lines machine r trips ~from_depth:d)))
-      refs
-  in
+  let ref_lines = List.map (fun r -> (r, region_lines machine r trips)) refs in
   let line_bytes = float_of_int machine.Machine.l1.Machine.line_bytes in
   let footprints =
     Array.init (n + 1) (fun d ->

@@ -277,9 +277,37 @@ let test_differential_exhaustive_noisy () =
 
 let test_differential_sampled_branch () =
   (* A space far over budget forces the seeded-sampling fallback in
-     both implementations; they must share the RNG stream too. *)
+     both implementations; they must share the RNG stream too. The
+     naive search replays every candidate with apply_all, the memoized
+     one resumes it from the shared (prefix; parallelize) state. *)
   differential ~budget:60 (Linalg.matmul ~m:64 ~n:64 ~k:64 ());
-  differential ~noise:0.03 ~budget:60 (Linalg.matmul ~m:64 ~n:64 ~k:64 ())
+  differential ~noise:0.03 ~budget:60 (Linalg.matmul ~m:64 ~n:64 ~k:64 ());
+  (* The conv's draws cover both memo levels: the im2col-prefixed
+     space, and parallel combos drawn more than once. *)
+  let conv = Test_helpers.small_conv () in
+  let budget = 80 in
+  let config =
+    { Auto_scheduler.default_config with Auto_scheduler.max_schedules = budget }
+  in
+  check "conv samples" true (Auto_scheduler.space_total config conv > budget);
+  let sampled = Auto_scheduler.gather_candidates config conv in
+  let pars =
+    List.concat_map
+      (fun sched ->
+        List.filter_map
+          (function
+            | Schedule.Parallelize sizes ->
+                Some (List.hd sched = Schedule.Im2col, sizes)
+            | _ -> None)
+          sched)
+      sampled
+  in
+  check "conv draws im2col candidates" true
+    (List.exists (fun sched -> List.hd sched = Schedule.Im2col) sampled);
+  check "conv draws a parallel combo twice" true
+    (List.length (List.sort_uniq compare pars) < List.length pars);
+  differential ~budget conv;
+  differential ~noise:0.03 ~budget conv
 
 let test_search_deterministic () =
   let op = Linalg.matmul ~m:64 ~n:64 ~k:64 () in

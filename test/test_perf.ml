@@ -229,6 +229,75 @@ let qcheck_speedup_positive =
       let st = Sched_state.init op in
       Evaluator.speedup ev st > 0.0)
 
+(* Bit pin of the cost model: the IEEE bits of every estimate field the
+   search reads, over a seeded corpus of sampled candidate states of
+   every generator op kind — plain, im2col, parallel, tiled, swapped,
+   vectorized and unrolled nests. A rewrite of the model's internals
+   must leave this digest unchanged; a deliberate pricing change must
+   update it. *)
+let bit_pin_kinds =
+  [ "matmul"; "conv2d"; "maxpool"; "add"; "relu"; "batch_matmul";
+    "conv2d_nchw"; "dwconv"; "avgpool"; "mul"; "sub"; "div"; "exp"; "log";
+    "bias_add" ]
+
+let bit_pin_states () =
+  let config =
+    { Auto_scheduler.default_config with Auto_scheduler.max_schedules = 80 }
+  in
+  let rng = Util.Rng.create 20240917 in
+  List.concat_map
+    (fun kind ->
+      let op = Generator.random_op rng kind in
+      List.concat_map
+        (fun sched ->
+          let open_sched =
+            List.filter (fun tr -> tr <> Schedule.Vectorize) sched
+          in
+          List.filter_map
+            (fun s -> Result.to_option (Sched_state.apply_all op s))
+            [ sched; open_sched;
+              open_sched @ [ Schedule.Unroll 2 ];
+              open_sched @ [ Schedule.Unroll 4; Schedule.Vectorize ] ])
+        (Auto_scheduler.gather_candidates config op))
+    bit_pin_kinds
+
+let test_cost_model_bit_pin () =
+  let b = Buffer.create (1 lsl 16) in
+  let bits x = Printf.bprintf b "%Lx;" (Int64.bits_of_float x) in
+  let states = bit_pin_states () in
+  List.iter
+    (fun (st : Sched_state.t) ->
+      let r =
+        Cost_model.estimate ~machine
+          ~iter_kinds:st.Sched_state.op.Linalg.iter_kinds
+          ~packing_elements:st.Sched_state.packing_elements st.Sched_state.nest
+      in
+      bits r.Cost_model.seconds;
+      List.iter
+        (fun (t : Cost_model.level_traffic) ->
+          bits t.Cost_model.miss_lines;
+          bits t.Cost_model.cycles)
+        r.Cost_model.traffic;
+      bits r.Cost_model.compute_cycles;
+      Buffer.add_char b '\n')
+    states;
+  let has f = List.exists f states in
+  let unrolled (st : Sched_state.t) =
+    List.exists
+      (function Schedule.Unroll _ -> true | _ -> false)
+      st.Sched_state.applied
+  in
+  Alcotest.(check bool)
+    "corpus covers im2col, parallel, vectorized and unrolled states" true
+    (has (fun st -> st.Sched_state.packing_elements > 0)
+    && has (fun st -> st.Sched_state.parallelized)
+    && has (fun st -> st.Sched_state.vectorized)
+    && has unrolled);
+  Alcotest.(check string) "estimate bits digest"
+    "4194:7aa001734d861d7f975bbf7bbaa02a0d"
+    (Printf.sprintf "%d:%s" (List.length states)
+       (Digest.to_hex (Digest.string (Buffer.contents b))))
+
 let suite =
   [
     Alcotest.test_case "positive time" `Quick test_positive_time;
@@ -256,5 +325,6 @@ let suite =
       test_cache_sim_small_footprint_reuse;
     Alcotest.test_case "cache sim tiling direction" `Quick
       test_cache_sim_validates_tiling_direction;
+    Alcotest.test_case "cost model bit pin" `Quick test_cost_model_bit_pin;
     QCheck_alcotest.to_alcotest qcheck_speedup_positive;
   ]

@@ -255,7 +255,11 @@ let test_search_exhaustive_identity () =
 
 let test_search_sampled_identity () =
   check_search_identity ~name:"sampled" ~budget:250 ~expect_exhaustive:false
-    (sampled_op ())
+    (sampled_op ());
+  (* The conv adds the im2col-prefixed space to the draws' prefix
+     states. *)
+  check_search_identity ~name:"sampled conv" ~budget:80
+    ~expect_exhaustive:false (Test_helpers.small_conv ())
 
 let test_search_conv_identity () =
   (* The conv path adds the im2col prefixed space to the frontier. *)
