@@ -112,8 +112,8 @@ let exhaustive_bench ~budget ?(tile_sizes = []) op =
     let r = search ~config ev op in
     let wall_s = now () -. t0 in
     let state_hits, state_misses = state_stats ev in
-    ( { label; wall_s; evaluated = Evaluator.explored ev; state_hits; state_misses },
-      r )
+    let evaluated = (Evaluator.counters ev).Evaluator.explored in
+    ({ label; wall_s; evaluated; state_hits; state_misses }, r)
   in
   let naive_pt, naive_r =
     run "naive (no caches, apply_all per candidate)"
@@ -149,7 +149,7 @@ let beam_bench op =
       | Some ev -> ev
       | None -> Evaluator.create ~state_cache_capacity:cap ()
     in
-    let before = Evaluator.explored ev in
+    let before = (Evaluator.counters ev).Evaluator.explored in
     let t0 = now () in
     let r = Beam_search.search ev op in
     let wall_s = now () -. t0 in
@@ -157,7 +157,7 @@ let beam_bench op =
     ( {
         label;
         wall_s;
-        evaluated = Evaluator.explored ev - before;
+        evaluated = (Evaluator.counters ev).Evaluator.explored - before;
         state_hits;
         state_misses;
       },
@@ -188,19 +188,18 @@ type train_point = {
 
 let train_once (c : Bench_common.config) ~state_cache ~jobs ~iterations ~ops =
   let cfg = Env_config.default in
-  let evaluator =
-    Evaluator.create ~machine:cfg.Env_config.machine ~noise:0.02
-      ~noise_seed:(c.Bench_common.seed + 13)
-      ~state_cache_capacity:(if state_cache then 65536 else 0)
-      ()
-  in
   let faults =
     Faults.create
       ~config:(Faults.flaky ~rate:0.1 ())
       ~seed:(c.Bench_common.seed + 31) ()
   in
-  let robust = Robust_evaluator.create ~faults evaluator in
-  let env = Env.create ~robust cfg in
+  let evaluator =
+    Evaluator.create ~machine:cfg.Env_config.machine ~noise:0.02
+      ~noise_seed:(c.Bench_common.seed + 13)
+      ~state_cache_capacity:(if state_cache then 65536 else 0)
+      ~faults ()
+  in
+  let env = Env.create ~evaluator cfg in
   let rng = Util.Rng.create c.Bench_common.seed in
   let policy =
     Policy.create ~hidden:c.Bench_common.hidden ~backbone_layers:2 rng cfg

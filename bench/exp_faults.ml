@@ -1,5 +1,6 @@
-(* Robustness micro-benchmark: what the retrying robust evaluator costs
-   on top of the plain one, in real per-call time and in the simulated
+(* Robustness micro-benchmark: what the evaluator's repeat/retry
+   measurement loop (attached with a fault injector) costs on top of a
+   single run, in real per-call time and in the simulated
    measurement budget it charges, across fault rates. Also prints a
    fault-sweep of training outcomes — how much injected flakiness a
    short PPO run tolerates before quality moves. *)
@@ -29,30 +30,25 @@ let per_call_overhead () =
   Printf.printf "%-34s %12.2f %14s %10s\n" "plain" plain_us "-" "-";
   List.iter
     (fun rate ->
-      let faults =
-        if rate > 0.0 then
-          Some (Faults.create ~config:(Faults.flaky ~rate ()) ~seed:7 ())
-        else None
-      in
-      let rob = Robust_evaluator.create ?faults (Evaluator.create ()) in
+      let faults = Faults.create ~config:(Faults.flaky ~rate ()) ~seed:7 () in
+      let ev = Evaluator.create ~faults () in
       let charged = ref 0.0 in
       let us =
         time (fun () ->
             charged :=
-              !charged
-              +. (Robust_evaluator.measure rob state).Robust_evaluator.charged)
+              !charged +. (Evaluator.measure ev state).Evaluator.charged)
       in
       Printf.printf "%-34s %12.2f %14.3e %10d\n"
         (Printf.sprintf "robust, fault rate %.0f%%" (rate *. 100.0))
         us
         (!charged /. float_of_int calls)
-        (Robust_evaluator.degraded_count rob))
+        (Evaluator.counters ev).Evaluator.degraded)
     [ 0.0; 0.1; 0.3 ];
   Printf.printf
-    "(the robust evaluator repeats each measurement >= %d times and retries\n\
+    "(with faults attached each measurement repeats >= %d times and retries\n\
     \ failures with backoff, so both columns grow with the fault rate; the\n\
     \ simulated column is what training budgets actually pay)\n"
-    Robust_evaluator.default_config.Robust_evaluator.min_repeats
+    Evaluator.min_repeats
 
 let fault_sweep (c : Bench_common.config) =
   Bench_common.subheading "Fault sweep: short PPO run vs injected fault rate";
@@ -66,8 +62,7 @@ let fault_sweep (c : Bench_common.config) =
     (fun rate ->
       let cfg = Env_config.default in
       let faults = Faults.create ~config:(Faults.flaky ~rate ()) ~seed:11 () in
-      let robust = Robust_evaluator.create ~faults (Evaluator.create ()) in
-      let env = Env.create ~robust cfg in
+      let env = Env.create ~evaluator:(Evaluator.create ~faults ()) cfg in
       let rng = Util.Rng.create c.Bench_common.seed in
       let policy =
         Policy.create ~hidden:c.Bench_common.hidden ~backbone_layers:2 rng cfg
@@ -94,6 +89,6 @@ let fault_sweep (c : Bench_common.config) =
     \ because the median-of-repeats reward stays unbiased)\n"
 
 let run (c : Bench_common.config) =
-  Bench_common.heading "Fault injection: robust-evaluator overhead and tolerance";
+  Bench_common.heading "Fault injection: robust-measurement overhead and tolerance";
   per_call_overhead ();
   fault_sweep c

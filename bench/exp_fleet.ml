@@ -312,7 +312,11 @@ let run ?(quick = false) (_c : Bench_common.config) =
     "serving fleet (Serve.Supervisor): scaling, chaos, rolling reload";
   (* Large enough that the emulated measurement stall dominates the
      per-request socket + inference overhead (~2-4ms on this box):
-     that is the production regime the scaling claim is about. *)
+     that is the production regime the scaling claim is about. The
+     stall is the evaluator's, per newly priced state; a cold nest
+     prices exactly one (Final reward), so this is also the stall per
+     cold request (measured: 30 cold requests at 100 ms take 3.0 s
+     longer than at 0 ms). *)
   let measure_delay_ms = 60.0 in
   let per_shard = if quick then 30 else 60 in
   let clients_per_group = 3 in

@@ -104,7 +104,7 @@ let run_scaling ~label ~delay ~run_search ~fp =
                 prev f
           | None -> ());
           last_fp := Some f;
-          explored := Evaluator.explored ev;
+          explored := (Evaluator.counters ev).Evaluator.explored;
           if wall < !best_wall then best_wall := wall
         done;
         Option.iter Util.Domain_pool.shutdown pool;

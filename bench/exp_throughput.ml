@@ -19,17 +19,16 @@ let train_once (c : Bench_common.config) ~jobs ~iterations =
   (* Noise + faults on, so the per-episode stream derivation is
      exercised end to end, not just the happy path. *)
   let cfg = Env_config.default in
-  let evaluator =
-    Evaluator.create ~machine:cfg.Env_config.machine ~noise:0.02
-      ~noise_seed:(c.Bench_common.seed + 13) ()
-  in
   let faults =
     Faults.create
       ~config:(Faults.flaky ~rate:0.1 ())
       ~seed:(c.Bench_common.seed + 31) ()
   in
-  let robust = Robust_evaluator.create ~faults evaluator in
-  let env = Env.create ~robust cfg in
+  let evaluator =
+    Evaluator.create ~machine:cfg.Env_config.machine ~noise:0.02
+      ~noise_seed:(c.Bench_common.seed + 13) ~faults ()
+  in
+  let env = Env.create ~evaluator cfg in
   let rng = Util.Rng.create c.Bench_common.seed in
   let policy =
     Policy.create ~hidden:c.Bench_common.hidden ~backbone_layers:2 rng cfg

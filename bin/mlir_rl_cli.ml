@@ -296,15 +296,11 @@ let train_cmd =
       if immediate then Env_config.with_reward_mode Env_config.Immediate cfg
       else cfg
     in
-    let evaluator =
-      Evaluator.create ~machine:cfg.Env_config.machine ~noise
-        ~noise_seed:(seed + 13) ()
-    in
     if resume && checkpoint_path = None then begin
       Format.eprintf "--resume requires --checkpoint PREFIX@.";
       exit 2
     end;
-    let robust =
+    let faults =
       if fault_rate > 0.0 then begin
         let config = Faults.flaky ~rate:fault_rate () in
         (match Faults.validate config with
@@ -312,20 +308,18 @@ let train_cmd =
         | Error e ->
             Format.eprintf "bad --fault-rate %g: %s@." fault_rate e;
             exit 2);
-        let faults =
-          Faults.create ~config
-            ~seed:(match fault_seed with Some s -> s | None -> seed + 31)
-            ()
-        in
-        Some (Robust_evaluator.create ~faults evaluator)
+        Some
+          (Faults.create ~config
+             ~seed:(match fault_seed with Some s -> s | None -> seed + 31)
+             ())
       end
       else None
     in
-    let env =
-      match robust with
-      | Some r -> Env.create ~robust:r cfg
-      | None -> Env.create ~evaluator cfg
+    let evaluator =
+      Evaluator.create ~machine:cfg.Env_config.machine ~noise
+        ~noise_seed:(seed + 13) ?faults ()
     in
+    let env = Env.create ~evaluator cfg in
     let rng = Util.Rng.create seed in
     let policy = Policy.create ~hidden ~backbone_layers:2 rng cfg in
     let ops =
@@ -384,14 +378,12 @@ let train_cmd =
         Format.eprintf "%s@." msg;
         exit 2
     in
-    (match Env.robust env with
-    | Some r ->
-        Format.printf
-          "@.robust evaluator: %d measurements, %d retries, %d degraded@."
-          (Robust_evaluator.measurements r)
-          (Robust_evaluator.retry_count r)
-          (Robust_evaluator.degraded_count r)
-    | None -> ());
+    if Option.is_some faults then begin
+      let c = Evaluator.counters evaluator in
+      Format.printf
+        "@.robust evaluator: %d measurements, %d retries, %d degraded@."
+        c.Evaluator.measurements c.Evaluator.retries c.Evaluator.degraded
+    end;
     (* Cache counters go to stderr: under --jobs > 1 speculative
        episodes make hit/miss splits scheduling-dependent (the cached
        values are pure, so the training results stay byte-identical),
@@ -782,8 +774,9 @@ let serve_cmd =
       value & opt float 0.0
       & info [ "measure-delay-ms" ]
           ~doc:
-            "Emulated hardware-measurement time per unique uncached nest \
-             (cache hits stay instant); models a deployment that times \
+            "Emulated hardware-measurement time per schedule state the \
+             evaluator prices for the first time (a cold nest prices one; \
+             cache hits stay instant); models a deployment that times \
              schedules on real hardware")
   in
   let jobs =

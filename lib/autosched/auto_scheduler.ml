@@ -592,10 +592,9 @@ let search_parallel ~config ~frontier_depth ~pool evaluator op =
   in
   let sps = spaces config op in
   let total_size = space_total config op in
-  (* Forks count their own evaluations; the deltas are summed back into
-     the parent so [Evaluator.explored] reads the same as after a
+  (* Forks count their own evaluations; their counters are added back
+     into the parent so [Evaluator.counters] reads the same as after a
      sequential run. *)
-  let delta = ref 0 in
   if total_size <= config.max_schedules then begin
     (* Exhaustive: one pool task per frontier subtask. The trivial
        vectorize candidate is evaluated here on the parent, exactly
@@ -613,12 +612,12 @@ let search_parallel ~config ~frontier_depth ~pool evaluator op =
           let out = ref [] in
           run_subtask config st ~eval:(fun sched final ->
               out := (sched, Evaluator.speedup fork final) :: !out);
-          (List.rev !out, Evaluator.explored fork))
+          (List.rev !out, Evaluator.counters fork))
         (Array.of_list (List.mapi (fun i st -> (i, st)) tasks))
     in
     Array.iter
-      (fun (leaves, d) ->
-        delta := !delta + d;
+      (fun (leaves, c) ->
+        Evaluator.add_counters evaluator c;
         List.iter (fun (sched, s) -> record sched s) leaves)
       results
   end
@@ -669,12 +668,12 @@ let search_parallel ~config ~frontier_depth ~pool evaluator op =
                   Option.map (Evaluator.speedup fork)
                     (Option.bind after_par (finish_draw d))
                 in
-                (r, Evaluator.explored fork))
+                (r, Evaluator.counters fork))
               tagged
           in
           Array.iteri
-            (fun k (r, d) ->
-              delta := !delta + d;
+            (fun k (r, c) ->
+              Evaluator.add_counters evaluator c;
               if !explored < config.max_schedules then
                 match r with
                 | Some s ->
@@ -684,7 +683,6 @@ let search_parallel ~config ~frontier_depth ~pool evaluator op =
             results
     done
   end;
-  Evaluator.set_explored evaluator (Evaluator.explored evaluator + !delta);
   {
     best_schedule = !best_schedule;
     best_speedup = !best_speedup;
@@ -814,19 +812,16 @@ let search_staged ?(config = default_config) ?ranker
                   (* let-bound: tuples evaluate right-to-left, and the
                      counter must be read after the evaluation. *)
                   let r = Evaluator.schedule_speedup fork op sched in
-                  (r, Evaluator.explored fork))
+                  (r, Evaluator.counters fork))
                 tagged
             in
-            let delta = ref 0 in
             Array.iteri
-              (fun k (r, d) ->
-                delta := !delta + d;
+              (fun k (r, c) ->
+                Evaluator.add_counters evaluator c;
                 match r with
                 | Ok s -> record (snd tagged.(k)) s
                 | Error _ -> ())
-              results;
-            Evaluator.set_explored evaluator
-              (Evaluator.explored evaluator + !delta));
+              results);
       {
         best_schedule = !best_schedule;
         best_speedup = !best_speedup;

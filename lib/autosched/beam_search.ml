@@ -214,7 +214,6 @@ let search_par ~config ?ranker ~rerank_k ~pool evaluator op =
   let best_schedule = ref [ Schedule.Vectorize ] in
   let base = Par_eval.noise_base evaluator in
   let scored_total = ref 0 in
-  let delta = ref 0 in
   let beam = ref [ (root, !best_speedup) ] in
   let depth = ref 0 in
   while !depth < config.max_depth - 1 && !beam <> [] do
@@ -248,13 +247,13 @@ let search_par ~config ?ranker ~rerank_k ~pool evaluator op =
             | Ok v -> Evaluator.speedup fork v
             | Error _ -> Evaluator.speedup fork child
           in
-          (s, Evaluator.explored fork))
+          (s, Evaluator.counters fork))
         tagged
     in
     let children = ref [] in
     Array.iteri
-      (fun k (s, d) ->
-        delta := !delta + d;
+      (fun k (s, c) ->
+        Evaluator.add_counters evaluator c;
         incr explored;
         let child = snd tagged.(k) in
         if s > !best_speedup then begin
@@ -266,7 +265,6 @@ let search_par ~config ?ranker ~rerank_k ~pool evaluator op =
     let sorted = List.sort (fun (_, a) (_, b) -> compare b a) !children in
     beam := List.filteri (fun i _ -> i < config.beam_width) sorted
   done;
-  Evaluator.set_explored evaluator (Evaluator.explored evaluator + !delta);
   { best_schedule = !best_schedule; best_speedup = !best_speedup; explored = !explored }
 
 let search ?(config = default_config) ?ranker ?(rerank_k = default_rerank_k)

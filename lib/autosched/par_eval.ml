@@ -11,7 +11,7 @@
      trie path, never on scheduling or worker count);
    - results merge on the caller's domain in subtask order, replaying
      the sequential bookkeeping exactly;
-   - the forks' explored deltas are summed back into the parent.
+   - the forks' counters are added back into the parent.
 
    With a noiseless evaluator (every search/bench/CLI path) the forked
    streams draw nothing, so any [--jobs N] is byte-identical to

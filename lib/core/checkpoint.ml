@@ -4,8 +4,7 @@ type meta = {
   episodes : int;
   best_speedup : float;
   measurement_seconds : float;
-  explored : int;
-  degraded : int;
+  counters : Evaluator.counters;
   noise_state : int64;
   fault_state : (int64 * int) option;
 }
@@ -29,8 +28,11 @@ let write_meta path m =
       Printf.fprintf oc "episodes %d\n" m.episodes;
       Printf.fprintf oc "best_speedup %h\n" m.best_speedup;
       Printf.fprintf oc "measurement_seconds %h\n" m.measurement_seconds;
-      Printf.fprintf oc "explored %d\n" m.explored;
-      Printf.fprintf oc "degraded %d\n" m.degraded;
+      let c = m.counters in
+      Printf.fprintf oc "explored %d\n" c.Evaluator.explored;
+      Printf.fprintf oc "degraded %d\n" c.Evaluator.degraded;
+      Printf.fprintf oc "measurements %d\n" c.Evaluator.measurements;
+      Printf.fprintf oc "retries %d\n" c.Evaluator.retries;
       Printf.fprintf oc "noise_state %Ld\n" m.noise_state;
       match m.fault_state with
       | None -> output_string oc "fault_state none\n"
@@ -47,10 +49,11 @@ let parse_meta lines =
             (String.sub line (i + 1) (String.length line - i - 1))
       | None -> ())
     lines;
-  let field name parse =
-    match Hashtbl.find_opt tbl name with
-    | None -> Error ("missing field " ^ name)
-    | Some v -> (
+  let field ?default name parse =
+    match (Hashtbl.find_opt tbl name, default) with
+    | None, Some d -> Ok d
+    | None, None -> Error ("missing field " ^ name)
+    | Some v, _ -> (
         match parse (String.trim v) with
         | Some x -> Ok x
         | None -> Error ("bad value for " ^ name))
@@ -63,6 +66,9 @@ let parse_meta lines =
   let* measurement_seconds = field "measurement_seconds" float_of_string_opt in
   let* explored = field "explored" int_of_string_opt in
   let* degraded = field "degraded" int_of_string_opt in
+  (* Added within v2: files written before them carry neither key. *)
+  let* measurements = field ~default:0 "measurements" int_of_string_opt in
+  let* retries = field ~default:0 "retries" int_of_string_opt in
   let* noise_state = field "noise_state" Int64.of_string_opt in
   let* fault_state =
     field "fault_state" (fun v ->
@@ -82,8 +88,7 @@ let parse_meta lines =
       episodes;
       best_speedup;
       measurement_seconds;
-      explored;
-      degraded;
+      counters = { Evaluator.explored; measurements; retries; degraded };
       noise_state;
       fault_state;
     }

@@ -22,8 +22,9 @@ type meta = {
           from it, so it must survive a resume *)
   best_speedup : float;
   measurement_seconds : float;  (** cumulative simulated measuring time *)
-  explored : int;  (** evaluator's schedules-explored counter *)
-  degraded : int;  (** cumulative degraded measurements *)
+  counters : Evaluator.counters;
+      (** the evaluator's counters; the [measurements] and [retries]
+          keys read as 0 when absent, so older v2 files still load *)
   noise_state : int64;  (** evaluator jitter stream *)
   fault_state : (int64 * int) option;  (** fault injector stream, if any *)
 }

@@ -1,7 +1,6 @@
 type t = {
   cfg : Env_config.t;
   ev : Evaluator.t;
-  robust : Robust_evaluator.t option;
   mutable sched : Sched_state.t option;
   mutable steps : int;
   mutable finished : bool;  (* a terminal step_result has been returned *)
@@ -9,8 +8,6 @@ type t = {
   mutable last_obs : float array;
   mutable measurement_seconds : float;
   mutable episode_measurement_seconds : float;
-  mutable degraded_total : int;
-  mutable episode_degraded : int;
 }
 
 type step_result = {
@@ -24,7 +21,7 @@ type step_result = {
   error : Env_error.t option;
 }
 
-let create ?evaluator ?robust cfg =
+let create ?evaluator cfg =
   (match Env_config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Env.create: " ^ msg));
@@ -36,15 +33,13 @@ let create ?evaluator ?robust cfg =
   if cfg.Env_config.verify_transforms then Verifier.set_enabled true;
   if cfg.Env_config.sanitize then Sanitizer.set_enabled true;
   let ev =
-    match (robust, evaluator) with
-    | Some r, _ -> Robust_evaluator.evaluator r
-    | None, Some e -> e
-    | None, None -> Evaluator.create ~machine:cfg.Env_config.machine ()
+    match evaluator with
+    | Some e -> e
+    | None -> Evaluator.create ~machine:cfg.Env_config.machine ()
   in
   {
     cfg;
     ev;
-    robust;
     sched = None;
     steps = 0;
     finished = false;
@@ -52,26 +47,17 @@ let create ?evaluator ?robust cfg =
     last_obs = [||];
     measurement_seconds = 0.0;
     episode_measurement_seconds = 0.0;
-    degraded_total = 0;
-    episode_degraded = 0;
   }
 
 let fork t =
   (* Worker-local environment for parallel episode collection: forked
-     measurement stack (shared base cache, per-fork noise/fault streams
-     and counters), fresh episode state and zeroed accounting. The
-     trainer merges the per-episode accounting of consumed episodes back
-     into the primary environment. *)
-  let robust = Option.map Robust_evaluator.fork t.robust in
-  let ev =
-    match robust with
-    | Some r -> Robust_evaluator.evaluator r
-    | None -> Evaluator.fork t.ev
-  in
+     evaluator (shared caches, per-fork noise/fault streams and
+     counters), fresh episode state and zeroed accounting. The trainer
+     merges consumed episodes back into the primary environment with
+     [absorb]. *)
   {
     cfg = t.cfg;
-    ev;
-    robust;
+    ev = Evaluator.fork t.ev;
     sched = None;
     steps = 0;
     finished = false;
@@ -79,13 +65,10 @@ let fork t =
     last_obs = [||];
     measurement_seconds = 0.0;
     episode_measurement_seconds = 0.0;
-    degraded_total = 0;
-    episode_degraded = 0;
   }
 
 let config t = t.cfg
 let evaluator t = t.ev
-let robust t = t.robust
 
 let state t =
   match t.sched with
@@ -101,7 +84,6 @@ let reset t op =
   t.finished <- false;
   t.prev_seconds <- Evaluator.base_seconds t.ev op;
   t.episode_measurement_seconds <- 0.0;
-  t.episode_degraded <- 0;
   let obs = Observation.extract t.cfg s in
   t.last_obs <- obs;
   obs
@@ -117,35 +99,21 @@ let charge_measurement t seconds =
 (* Price a state. Returns the (possibly capped) measurement plus the
    typed error when the backend had to degrade to the cost model. *)
 let measure t s =
-  match t.robust with
-  | None ->
-      let r = Evaluator.measure t.ev s in
-      (match r with
-      | `Seconds sec -> charge_measurement t sec
-      | `Timeout capped -> charge_measurement t capped);
-      (r, None)
-  | Some rob ->
-      let m = Robust_evaluator.measure rob s in
-      charge_measurement t m.Robust_evaluator.charged;
-      let error =
-        match m.Robust_evaluator.quality with
-        | Robust_evaluator.Exact -> None
-        | Robust_evaluator.Degraded detail ->
-            t.degraded_total <- t.degraded_total + 1;
-            t.episode_degraded <- t.episode_degraded + 1;
-            Some
-              (Env_error.Backend_failure
-                 {
-                   Env_error.op_name = s.Sched_state.original.Linalg.op_name;
-                   detail;
-                   retries = m.Robust_evaluator.retries;
-                 })
-      in
-      let r =
-        if m.Robust_evaluator.timed_out then `Timeout m.Robust_evaluator.seconds
-        else `Seconds m.Robust_evaluator.seconds
-      in
-      (r, error)
+  let m = Evaluator.measure t.ev s in
+  charge_measurement t m.Evaluator.charged;
+  let error =
+    match m.Evaluator.quality with
+    | Evaluator.Exact -> None
+    | Evaluator.Degraded detail ->
+        Some
+          (Env_error.Backend_failure
+             {
+               Env_error.op_name = s.Sched_state.original.Linalg.op_name;
+               detail;
+               retries = m.Evaluator.retries;
+             })
+  in
+  (m, error)
 
 let current_speedup t =
   match t.sched with
@@ -159,12 +127,13 @@ let schedule t = (state t).Sched_state.applied
 
 let measurement_seconds t = t.measurement_seconds
 let episode_measurement_seconds t = t.episode_measurement_seconds
-let degraded_measurements t = t.degraded_total
-let episode_degraded t = t.episode_degraded
+let absorb t fork =
+  t.measurement_seconds <- t.measurement_seconds +. fork.measurement_seconds;
+  Evaluator.add_counters t.ev (Evaluator.counters fork.ev)
 
-let restore_accounting t ~measurement_seconds ~degraded =
+let restore_accounting t ~measurement_seconds counters =
   t.measurement_seconds <- measurement_seconds;
-  t.degraded_total <- degraded
+  Evaluator.restore_counters t.ev counters
 
 let render t =
   match t.sched with
@@ -219,29 +188,24 @@ let step t (tr : Schedule.transformation option) =
       let conclude s' ~ended =
         (* Measure when the reward mode demands it. *)
         t.sched <- Some s';
-        if immediate then begin
-          match measure t s' with
-          | `Timeout _, error ->
-              finish_result t s' ~reward:t.cfg.Env_config.timeout_penalty
-                ~terminal:true ~timed_out:true ~noop:false ~invalid:false
-                ~degraded:(error <> None) ?error
-          | `Seconds sec, error ->
+        let measured ~reward_of =
+          let m, error = measure t s' in
+          let degraded = error <> None in
+          if m.Evaluator.timed_out then
+            finish_result t s' ~reward:t.cfg.Env_config.timeout_penalty
+              ~terminal:true ~timed_out:true ~noop:false ~invalid:false
+              ~degraded ?error
+          else
+            finish_result t s' ~reward:(reward_of m.Evaluator.seconds)
+              ~terminal:ended ~timed_out:false ~noop:false ~invalid:false
+              ~degraded ?error
+        in
+        if immediate then
+          measured ~reward_of:(fun sec ->
               let reward = log (t.prev_seconds /. sec) in
               t.prev_seconds <- sec;
-              finish_result t s' ~reward ~terminal:ended ~timed_out:false
-                ~noop:false ~invalid:false ~degraded:(error <> None) ?error
-        end
-        else if ended then begin
-          match measure t s' with
-          | `Timeout _, error ->
-              finish_result t s' ~reward:t.cfg.Env_config.timeout_penalty
-                ~terminal:true ~timed_out:true ~noop:false ~invalid:false
-                ~degraded:(error <> None) ?error
-          | `Seconds sec, error ->
-              finish_result t s' ~reward:(log (base /. sec)) ~terminal:true
-                ~timed_out:false ~noop:false ~invalid:false
-                ~degraded:(error <> None) ?error
-        end
+              reward)
+        else if ended then measured ~reward_of:(fun sec -> log (base /. sec))
         else
           finish_result t s' ~reward:0.0 ~terminal:false ~timed_out:false
             ~noop:false ~invalid:false

@@ -26,36 +26,31 @@ type step_result = {
   invalid : bool;  (** the transformation was rejected by the IR layer *)
   degraded : bool;
       (** the measurement backend failed and the reward was computed
-          from the cost-model estimate (robust evaluator only) *)
+          from the cost-model estimate (only with a fault injector
+          attached to the evaluator) *)
   error : Env_error.t option;
       (** the typed error behind [invalid] / [degraded] / stepping a
           finished episode; [None] on the happy path *)
 }
 
-val create : ?evaluator:Evaluator.t -> ?robust:Robust_evaluator.t -> Env_config.t -> t
-(** The evaluator defaults to one on [config.machine]. Passing [robust]
-    routes every measurement through the retrying robust evaluator (its
-    underlying evaluator is used for baselines); [evaluator] is then
-    ignored. *)
+val create : ?evaluator:Evaluator.t -> Env_config.t -> t
+(** The evaluator defaults to one on [config.machine]. An evaluator
+    created with a fault injector makes every measurement repeat, retry
+    and degrade (see {!Evaluator.measure}). *)
 
 val fork : t -> t
-(** A worker-local copy for parallel rollouts: the measurement stack is
-    forked ({!Evaluator.fork} / {!Robust_evaluator.fork} — the base-time
-    cache is shared and domain-safe, noise/fault streams and counters
-    are per-fork), episode state and accounting start fresh. The caller
-    seeds the fork's streams per episode and merges
-    {!episode_measurement_seconds} / {!episode_degraded} and the
-    evaluator counters back in deterministic order. *)
+(** A worker-local copy for parallel rollouts: the evaluator is forked
+    ({!Evaluator.fork} — the caches are shared and domain-safe,
+    noise/fault streams and counters are per-fork), episode state and
+    accounting start fresh. The caller seeds the fork's streams and
+    merges it back with {!absorb} in deterministic order. *)
 
 val config : t -> Env_config.t
 val evaluator : t -> Evaluator.t
 
-val robust : t -> Robust_evaluator.t option
-(** The resilience layer, when one was attached at {!create}. *)
-
 val reset : t -> Linalg.t -> float array
 (** Start an episode on an op; returns the initial observation. Resets
-    the per-episode measurement and degradation accounting. *)
+    the per-episode measurement accounting. *)
 
 val state : t -> Sched_state.t
 (** Current schedule state (for inspection and masking). Raises
@@ -91,21 +86,20 @@ val measurement_seconds : t -> float
 (** Accumulated simulated compile+measure wall-clock spent in this
     environment since creation — the paper's Figure 7 training-time
     axis. Each measurement charges [config.compile_seconds] plus the
-    measured execution time (for the robust evaluator: all repeats,
-    capped hangs and backoff pauses). *)
+    measured execution time (under faults: all repeats, capped hangs
+    and backoff pauses). *)
 
 val episode_measurement_seconds : t -> float
 (** Same accounting, but only since the last {!reset}. *)
 
-val degraded_measurements : t -> int
-(** Total measurements that fell back to the cost model since creation. *)
-
-val episode_degraded : t -> int
-(** Degraded measurements since the last {!reset}. *)
+val absorb : t -> t -> unit
+(** [absorb t fork] adds a {!fork}'s measurement seconds and evaluator
+    counters to [t]'s — the in-order merge of parallel episodes. *)
 
 val restore_accounting :
-  t -> measurement_seconds:float -> degraded:int -> unit
-(** Overwrite the cumulative counters (checkpoint resume). *)
+  t -> measurement_seconds:float -> Evaluator.counters -> unit
+(** Overwrite the measurement seconds and evaluator counters
+    (checkpoint resume). *)
 
 val render : t -> string
 (** Human-readable snapshot of the episode: op, schedule so far, step

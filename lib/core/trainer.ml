@@ -65,37 +65,31 @@ let checkpoint_meta env rng ~iteration ~episodes ~best =
     episodes;
     best_speedup = best;
     measurement_seconds = Env.measurement_seconds env;
-    explored = Evaluator.explored (Env.evaluator env);
-    degraded = Env.degraded_measurements env;
+    counters = Evaluator.counters (Env.evaluator env);
     noise_state = Evaluator.noise_state (Env.evaluator env);
-    fault_state =
-      Option.bind (Env.robust env) (fun r ->
-          Option.map Faults.state (Robust_evaluator.faults r));
+    fault_state = Option.map Faults.state (Evaluator.faults (Env.evaluator env));
   }
 
-(* One collected episode plus everything the main domain must merge
-   when (and only when) it consumes the episode: the accounting deltas
-   of speculative episodes that end up discarded must never leak into
-   the shared counters, or the totals would depend on [jobs]. *)
+(* One collected episode plus the forked environment it ran on, whose
+   accounting the main domain merges when (and only when) it consumes
+   the episode: the accounting of speculative episodes that end up
+   discarded must never leak into the shared counters, or the totals
+   would depend on [jobs]. *)
 type 'sample episode_out = {
   ep_steps : 'sample Ppo.transition array;
   ep_return : float;
   ep_speedup : float;
-  ep_meas_seconds : float;
-  ep_env_degraded : int;
-  ep_explored : int;
-  ep_measurements : int;
-  ep_retries : int;
-  ep_rob_degraded : int;
+  ep_env : Env.t;
 }
 
-let robust_counters env =
-  match Env.robust env with
-  | Some r ->
-      ( Robust_evaluator.measurements r,
-        Robust_evaluator.retry_count r,
-        Robust_evaluator.degraded_count r )
-  | None -> (0, 0, 0)
+(* A fresh fork positioned on episode/trial streams: zeroed accounting,
+   so after the episode it holds exactly that episode's deltas. *)
+let episode_env env_proto ~noise_state ~fault_state =
+  let env = Env.fork env_proto in
+  let ev = Env.evaluator env in
+  Evaluator.set_noise_state ev noise_state;
+  Option.iter (fun f -> Faults.restore f (fault_state, 0)) (Evaluator.faults ev);
+  env
 
 (* Play episodes [lo, hi) on one worker, advancing up to [slab] of them
    in lockstep so [step_slab] can batch the policy forward pass. Each
@@ -105,34 +99,28 @@ let play_chunk ~env_proto ~seed ~ops ~slab ~step_slab ~lo ~hi =
   let count = hi - lo in
   let out = Array.make count None in
   let nslots = min slab count in
-  let envs = Array.init nslots (fun _ -> Env.fork env_proto) in
+  (* Every slot gets its own episode fork in [start] before use. *)
+  let envs = Array.make nslots env_proto in
   let rngs = Array.make nslots (Util.Rng.create 0) in
   let obs = Array.make nslots [||] in
   let idxs = Array.make nslots (-1) in
   let steps_acc = Array.make nslots [] in
   let returns = Array.make nslots 0.0 in
-  let explored0 = Array.make nslots 0 in
-  let rob0 = Array.make nslots (0, 0, 0) in
   let active = Array.make nslots false in
   let next = ref lo in
   let start s =
     if !next < hi then begin
       let idx = !next in
       incr next;
-      let env = envs.(s) in
       let action_rng, noise_state, fault_state = episode_streams seed idx in
-      Evaluator.set_noise_state (Env.evaluator env) noise_state;
-      (match Option.bind (Env.robust env) Robust_evaluator.faults with
-      | Some f -> Faults.restore f (fault_state, 0)
-      | None -> ());
+      let env = episode_env env_proto ~noise_state ~fault_state in
+      envs.(s) <- env;
       let op = Util.Rng.choice action_rng ops in
       obs.(s) <- Env.reset env op;
       rngs.(s) <- action_rng;
       idxs.(s) <- idx;
       steps_acc.(s) <- [];
       returns.(s) <- 0.0;
-      explored0.(s) <- Evaluator.explored (Env.evaluator env);
-      rob0.(s) <- robust_counters env;
       active.(s) <- true
     end
   in
@@ -158,24 +146,15 @@ let play_chunk ~env_proto ~seed ~ops ~slab ~step_slab ~lo ~hi =
         obs.(s) <- result.Env.obs;
         if result.Env.terminal then begin
           let env = envs.(s) in
-          (* [current_speedup] bumps the explored counter and consumes a
-             jitter draw, so it must run before the delta is read. *)
-          let speedup = Env.current_speedup env in
-          let explored_after = Evaluator.explored (Env.evaluator env) in
-          let m0, r0, d0 = rob0.(s) in
-          let m1, r1, d1 = robust_counters env in
           out.(idxs.(s) - lo) <-
             Some
               {
                 ep_steps = Array.of_list (List.rev steps_acc.(s));
                 ep_return = returns.(s);
-                ep_speedup = speedup;
-                ep_meas_seconds = Env.episode_measurement_seconds env;
-                ep_env_degraded = Env.episode_degraded env;
-                ep_explored = explored_after - explored0.(s);
-                ep_measurements = m1 - m0;
-                ep_retries = r1 - r0;
-                ep_rob_degraded = d1 - d0;
+                (* Bumps the explored counter and consumes a jitter
+                   draw, both part of the episode's accounting. *)
+                ep_speedup = Env.current_speedup env;
+                ep_env = env;
               };
           active.(s) <- false;
           start s
@@ -230,15 +209,10 @@ let run_loop ?callback ?(resume = false) config env ~params ~optimizer ~ops
              Util.Rng.set_state rng meta.Checkpoint.rng_state;
              Env.restore_accounting env
                ~measurement_seconds:meta.Checkpoint.measurement_seconds
-               ~degraded:meta.Checkpoint.degraded;
-             Evaluator.set_explored (Env.evaluator env)
-               meta.Checkpoint.explored;
-             Evaluator.set_noise_state (Env.evaluator env)
-               meta.Checkpoint.noise_state;
-             (match
-                ( meta.Checkpoint.fault_state,
-                  Option.bind (Env.robust env) Robust_evaluator.faults )
-              with
+               meta.Checkpoint.counters;
+             let ev = Env.evaluator env in
+             Evaluator.set_noise_state ev meta.Checkpoint.noise_state;
+             (match (meta.Checkpoint.fault_state, Evaluator.faults ev) with
              | Some st, Some f -> Faults.restore f st
              | _ -> ())));
   let pool =
@@ -308,17 +282,7 @@ let run_loop ?callback ?(resume = false) config env ~params ~optimizer ~ops
           returns := ep.ep_return :: !returns;
           speedups := Float.max 1e-9 ep.ep_speedup :: !speedups;
           n_steps := !n_steps + Array.length ep.ep_steps;
-          Env.restore_accounting env
-            ~measurement_seconds:
-              (Env.measurement_seconds env +. ep.ep_meas_seconds)
-            ~degraded:(Env.degraded_measurements env + ep.ep_env_degraded);
-          Evaluator.set_explored (Env.evaluator env)
-            (Evaluator.explored (Env.evaluator env) + ep.ep_explored);
-          (match Env.robust env with
-          | Some r ->
-              Robust_evaluator.absorb r ~measurements:ep.ep_measurements
-                ~retries:ep.ep_retries ~degraded:ep.ep_rob_degraded
-          | None -> ());
+          Env.absorb env ep.ep_env;
           incr episodes;
           incr consumed_eps;
           consumed_steps := !consumed_steps + Array.length ep.ep_steps
@@ -327,6 +291,7 @@ let run_loop ?callback ?(resume = false) config env ~params ~optimizer ~ops
         let ppo_stats = update batch ~rng in
         let mean_final_speedup = Util.Stats.geomean !speedups in
         best := Float.max !best (List.fold_left Float.max 0.0 !speedups);
+        let counters = Evaluator.counters (Env.evaluator env) in
         let st =
           {
             iteration;
@@ -335,8 +300,8 @@ let run_loop ?callback ?(resume = false) config env ~params ~optimizer ~ops
             best_speedup = !best;
             ppo_stats;
             measurement_seconds = Env.measurement_seconds env;
-            schedules_explored = Evaluator.explored (Env.evaluator env);
-            degraded_measurements = Env.degraded_measurements env;
+            schedules_explored = counters.Evaluator.explored;
+            degraded_measurements = counters.Evaluator.degraded;
             episodes = !episodes;
           }
         in
@@ -436,18 +401,12 @@ let sampled_best ?(temperature = 1.5) ?(jobs = 1) rng env policy op ~trials =
   if jobs < 1 then invalid_arg "Trainer.sampled_best: jobs must be >= 1";
   let masters = Array.init trials (fun _ -> Util.Rng.state (Util.Rng.split rng)) in
   let run_range (lo, hi) =
-    let fork = Env.fork env in
     Array.init (hi - lo) (fun k ->
         let master = Util.Rng.of_state masters.(lo + k) in
         let action_rng = Util.Rng.split master in
         let noise_state = Util.Rng.state (Util.Rng.split master) in
         let fault_state = Util.Rng.state (Util.Rng.split master) in
-        Evaluator.set_noise_state (Env.evaluator fork) noise_state;
-        (match Option.bind (Env.robust fork) Robust_evaluator.faults with
-        | Some f -> Faults.restore f (fault_state, 0)
-        | None -> ());
-        let explored0 = Evaluator.explored (Env.evaluator fork) in
-        let m0, r0, d0 = robust_counters fork in
+        let fork = episode_env env ~noise_state ~fault_state in
         let obs = ref (Env.reset fork op) in
         let continue = ref true in
         while !continue do
@@ -460,14 +419,7 @@ let sampled_best ?(temperature = 1.5) ?(jobs = 1) rng env policy op ~trials =
           if result.Env.terminal then continue := false
         done;
         let speedup = Env.current_speedup fork in
-        let explored_after = Evaluator.explored (Env.evaluator fork) in
-        let m1, r1, d1 = robust_counters fork in
-        ( Env.schedule fork,
-          speedup,
-          Env.episode_measurement_seconds fork,
-          Env.episode_degraded fork,
-          explored_after - explored0,
-          (m1 - m0, r1 - r0, d1 - d0) ))
+        (Env.schedule fork, speedup, fork))
   in
   let chunks = chunk_ranges ~lo:0 ~wave:trials ~jobs in
   let results =
@@ -492,18 +444,10 @@ let sampled_best ?(temperature = 1.5) ?(jobs = 1) rng env policy op ~trials =
   let best_speedup = ref 0.0 in
   List.iter
     (Array.iter
-       (fun (sched, sp, meas, env_degraded, explored, (m, r, d)) ->
+       (fun (sched, sp, fork) ->
          (* Merge each trial's accounting in trial order, mirroring the
             training loop's consume step. *)
-         Env.restore_accounting env
-           ~measurement_seconds:(Env.measurement_seconds env +. meas)
-           ~degraded:(Env.degraded_measurements env + env_degraded);
-         Evaluator.set_explored (Env.evaluator env)
-           (Evaluator.explored (Env.evaluator env) + explored);
-         (match Env.robust env with
-         | Some rob ->
-             Robust_evaluator.absorb rob ~measurements:m ~retries:r ~degraded:d
-         | None -> ());
+         Env.absorb env fork;
          if sp > !best_speedup then begin
            best_speedup := sp;
            best_sched := sched

@@ -6,13 +6,40 @@ type cache_stats = {
 
 type measure_hook = Sched_state.t -> seconds:float -> unit
 
+type counters = {
+  explored : int;
+  measurements : int;
+  retries : int;
+  degraded : int;
+}
+
+type quality = Exact | Degraded of string
+
+type measurement = {
+  seconds : float;
+  timed_out : bool;
+  quality : quality;
+  retries : int;
+  charged : float;
+}
+
 type t = {
   machine : Machine.t;
   base_cache : (string, float) Util.Sharded_cache.t;
   state_cache : (string, float) Util.Sharded_cache.t option;
-  mutable explored : int;
+  (* The counter record, kept as mutable ints so the per-candidate
+     [state_seconds] path bumps a field instead of allocating; read
+     back as one {!counters} value. *)
+  mutable n_explored : int;
+  mutable n_measurements : int;
+  mutable n_retries : int;
+  mutable n_degraded : int;
   noise : float;
   noise_rng : Util.Rng.t;
+  (* The unreliable world a real measurement runs in. [None]: one
+     backend run per measurement. [Some]: the paper's
+     repeat/retry/degrade discipline of {!measure}. *)
+  faults : Faults.t option;
   (* Emulated hardware-measurement stall per state-seconds COMPUTATION
      (transposition-cache misses only — a cached measurement needs no
      re-measurement). The analytic cost model answers in microseconds,
@@ -50,16 +77,20 @@ let default_state_cache_capacity = 65536
 let create ?(machine = Machine.e5_2680_v4) ?(noise = 0.0) ?(noise_seed = 0)
     ?(cache_capacity = default_cache_capacity)
     ?(state_cache_capacity = default_state_cache_capacity)
-    ?(measure_delay_s = 0.0) () =
+    ?(measure_delay_s = 0.0) ?faults () =
   {
     machine;
     base_cache = Util.Sharded_cache.create ~capacity:cache_capacity ();
     state_cache =
       (if state_cache_capacity <= 0 then None
        else Some (Util.Sharded_cache.create ~capacity:state_cache_capacity ()));
-    explored = 0;
+    n_explored = 0;
+    n_measurements = 0;
+    n_retries = 0;
+    n_degraded = 0;
     noise;
     noise_rng = Util.Rng.create noise_seed;
+    faults;
     measure_delay_s;
     base_memo = None;
     machine_suffix = "|" ^ machine.Machine.name;
@@ -70,16 +101,20 @@ let create ?(machine = Machine.e5_2680_v4) ?(noise = 0.0) ?(noise_seed = 0)
 let fork t =
   (* Same machine and noise sigma, and the same (shared, domain-safe)
      caches — base times and pre-jitter state times are pure, so every
-     fork may reuse them. The explored counter and jitter stream are
-     per-fork: each parallel episode runs its own decorrelated noise
-     stream and reports its explored delta for the trainer to merge. *)
+     fork may reuse them. The counters, jitter stream and fault stream
+     are per-fork: each parallel episode runs its own decorrelated
+     streams and reports its counters for the caller to merge. *)
   {
     machine = t.machine;
     base_cache = t.base_cache;
     state_cache = t.state_cache;
-    explored = 0;
+    n_explored = 0;
+    n_measurements = 0;
+    n_retries = 0;
+    n_degraded = 0;
     noise = t.noise;
     noise_rng = Util.Rng.create 0;
+    faults = Option.map Faults.fork t.faults;
     measure_delay_s = t.measure_delay_s;
     base_memo = None;
     machine_suffix = t.machine_suffix;
@@ -96,6 +131,7 @@ let jitter t seconds =
 
 let machine t = t.machine
 let noise t = t.noise
+let faults t = t.faults
 
 let base_seconds t (op : Linalg.t) =
   match t.base_memo with
@@ -116,7 +152,7 @@ let base_seconds t (op : Linalg.t) =
 
 (* The transposition cache memoizes the PURE part of a measurement —
    the cost-model seconds of (nest, iter kinds, packing, machine).
-   Jitter is applied after the lookup and [explored] counts every
+   Jitter is applied after the lookup and [n_explored] counts every
    logical call, so measurement noise streams, speedup values and
    paper-figure traces are byte-identical whether a call hits or
    misses; only wall-clock changes. The key leads with the O(1)
@@ -164,7 +200,7 @@ let set_measure_hook t hook = t.measure_hook <- hook
 let attach_surrogate_cache t stats = t.surrogate_cache <- Some stats
 
 let state_seconds t (state : Sched_state.t) =
-  t.explored <- t.explored + 1;
+  t.n_explored <- t.n_explored + 1;
   (* Differential sanitizer (MLIR_RL_SANITIZE): every measurement path —
      train, autosched, serve — funnels through here, so this one hook
      covers them all. The digest-pair dedup inside sanitize_state keeps
@@ -173,24 +209,133 @@ let state_seconds t (state : Sched_state.t) =
   if Sanitizer.enabled () then ignore (Differential.sanitize_state state);
   jitter t (pure_state_seconds t state)
 
+(* The paper's measurement discipline, applied when a fault injector
+   is attached: repeat until stable, retry failures with exponential
+   backoff charged to the simulated clock, and degrade to the
+   cost-model estimate when retries run out. *)
+let min_repeats = 3
+let max_repeats = 9
+let stability_rsd = 0.05
+let max_retries = 4
+let backoff_base = 1.0
+let backoff_factor = 2.0
+let hang_cap = 60.0
+
+(* The degradation fallback: the noiseless analytical estimate, exactly
+   what a fault-free measurement reports with jitter disabled. *)
+let estimate_seconds t (state : Sched_state.t) =
+  Cost_model.seconds ~machine:t.machine
+    ~iter_kinds:state.Sched_state.op.Linalg.iter_kinds
+    ~packing_elements:state.Sched_state.packing_elements
+    state.Sched_state.nest
+
+let capped ~cap ~quality ~retries ~charged s =
+  let timed_out = s > cap in
+  { seconds = (if timed_out then cap else s); timed_out; quality; retries;
+    charged }
+
+let measure_faulty t faults state ~cap =
+  let samples = ref [] in
+  let n_samples = ref 0 in
+  let retries = ref 0 in
+  let charged = ref 0.0 in
+  let exhausted = ref false in
+  let last_failure = ref "" in
+  let stable () =
+    !n_samples >= min_repeats
+    &&
+    let m = Util.Stats.mean !samples in
+    m > 0.0 && Util.Stats.stddev !samples /. m <= stability_rsd
+  in
+  let fail f =
+    last_failure := Faults.to_string f;
+    if !retries >= max_retries then exhausted := true
+    else begin
+      incr retries;
+      t.n_retries <- t.n_retries + 1;
+      charged :=
+        !charged +. (backoff_base *. (backoff_factor ** float_of_int (!retries - 1)))
+    end
+  in
+  while (not (stable ())) && !n_samples < max_repeats && not !exhausted do
+    match Faults.draw faults with
+    | (None | Some (Faults.Latency_outlier _)) as fault ->
+        let s = state_seconds t state in
+        let s =
+          match fault with Some (Faults.Latency_outlier k) -> s *. k | _ -> s
+        in
+        (* A run is killed at the adaptive cap, so never charge above it. *)
+        charged := !charged +. Float.min s cap;
+        samples := s :: !samples;
+        incr n_samples
+    | Some (Faults.Transient_timeout as f) ->
+        charged := !charged +. cap;
+        fail f
+    | Some (Faults.Hang h as f) ->
+        charged := !charged +. Float.min h hang_cap;
+        fail f
+    | Some ((Faults.Compile_failure | Faults.Crash) as f) -> fail f
+  done;
+  let degrade why =
+    t.n_degraded <- t.n_degraded + 1;
+    Degraded why
+  in
+  match !samples with
+  | [] ->
+      (* Retries exhausted with nothing measured: degrade gracefully to
+         the pure cost-model estimate rather than aborting. *)
+      let quality = degrade ("no samples: " ^ !last_failure) in
+      capped ~cap ~quality ~retries:!retries ~charged:!charged
+        (estimate_seconds t state)
+  | xs ->
+      let quality =
+        if !exhausted && !n_samples < min_repeats then
+          degrade
+            (Printf.sprintf "only %d/%d samples: %s" !n_samples min_repeats
+               !last_failure)
+        else Exact
+      in
+      capped ~cap ~quality ~retries:!retries ~charged:!charged
+        (Util.Stats.median xs)
+
 let measure t state =
-  let base = base_seconds t state.Sched_state.original in
-  let s = state_seconds t state in
-  let cap = timeout_factor *. base in
-  if s > cap then `Timeout cap else `Seconds s
+  t.n_measurements <- t.n_measurements + 1;
+  let cap = timeout_factor *. base_seconds t state.Sched_state.original in
+  match t.faults with
+  | Some faults -> measure_faulty t faults state ~cap
+  | None ->
+      let s = state_seconds t state in
+      let timed_out = s > cap in
+      let seconds = if timed_out then cap else s in
+      { seconds; timed_out; quality = Exact; retries = 0; charged = seconds }
 
 let speedup t state =
   let base = base_seconds t state.Sched_state.original in
-  match measure t state with
-  | `Seconds s -> base /. s
-  | `Timeout capped -> base /. capped
+  base /. (measure t state).seconds
 
 let schedule_speedup t op sched =
   Result.map (speedup t) (Sched_state.apply_all op sched)
 
-let explored t = t.explored
-let reset_explored t = t.explored <- 0
-let set_explored t n = t.explored <- n
+let counters t =
+  {
+    explored = t.n_explored;
+    measurements = t.n_measurements;
+    retries = t.n_retries;
+    degraded = t.n_degraded;
+  }
+
+let restore_counters t (c : counters) =
+  t.n_explored <- c.explored;
+  t.n_measurements <- c.measurements;
+  t.n_retries <- c.retries;
+  t.n_degraded <- c.degraded
+
+let add_counters t (c : counters) =
+  t.n_explored <- t.n_explored + c.explored;
+  t.n_measurements <- t.n_measurements + c.measurements;
+  t.n_retries <- t.n_retries + c.retries;
+  t.n_degraded <- t.n_degraded + c.degraded
+
 let noise_state t = Util.Rng.state t.noise_rng
 let set_noise_state t s = Util.Rng.set_state t.noise_rng s
 

@@ -3,7 +3,20 @@
     The environment's stand-in for "compile and run": price a schedule
     state with the cost model, compute speedups against the untransformed
     op and enforce the paper's adaptive timeout (10x the base time maps
-    to a capped, penalized measurement). *)
+    to a capped, penalized measurement).
+
+    With a {!Faults} injector attached, {!measure} follows the paper's
+    discipline for real, unreliable executions:
+    - {b adaptive repeats}: at least 3 runs, and up to 9 until the
+      relative standard deviation drops to 5%, aggregated by median;
+    - {b bounded retries}: transient failures (timeouts, compile
+      failures, hangs capped at 60 s, crashes) are retried up to
+      {!max_retries} times with exponential backoff (1 s, x2), every
+      pause charged to the simulated measurement clock;
+    - {b graceful degradation}: when retries are exhausted the result
+      falls back to the pure cost-model estimate and is flagged
+      [Degraded], so training can track how much of its signal was
+      synthetic. *)
 
 type t
 (** An evaluator bound to a machine; caches base times per op and
@@ -16,6 +29,7 @@ val create :
   ?cache_capacity:int ->
   ?state_cache_capacity:int ->
   ?measure_delay_s:float ->
+  ?faults:Faults.t ->
   unit ->
   t
 (** Defaults to {!Machine.e5_2680_v4} and noiseless measurements.
@@ -36,22 +50,28 @@ val create :
     deployment: every state-seconds computation (transposition-cache
     miss) sleeps that long before pricing, so parallel-search benches
     scale with how well the search overlaps measurement latency instead
-    of with this host's core count — the same device the serve engine's
-    [measure_delay_s] models at batch level. Cache hits stay instant
-    and results are bit-identical with the delay on or off; 0 (off) by
-    default. *)
+    of with this host's core count (the serve engine sets it from its
+    [measure_delay_s]). Cache hits stay instant and results are
+    bit-identical with the delay on or off; 0 (off) by default.
+    [faults] switches {!measure} to the repeat/retry/degrade loop
+    described above; without it a measurement is one run. *)
 
 val fork : t -> t
 (** A worker-local evaluator for parallel rollouts: shares the (domain
     safe, sharded) base-time and state-seconds caches, copies machine
-    and noise sigma, and starts a fresh explored counter and jitter
-    stream. The caller is expected to seed the jitter stream via
-    {!set_noise_state} and merge the fork's {!explored} delta back. *)
+    and noise sigma, forks the fault injector ({!Faults.fork}), and
+    starts zeroed {!counters} and a fresh jitter stream. The caller is
+    expected to seed the jitter and fault streams via
+    {!set_noise_state} / {!Faults.restore} and merge the fork's
+    counters back with {!add_counters}. *)
 
 val machine : t -> Machine.t
 
 val noise : t -> float
 (** The jitter sigma this evaluator was created with. *)
+
+val faults : t -> Faults.t option
+(** The attached fault injector, if any. *)
 
 val base_seconds : t -> Linalg.t -> float
 (** Estimated time of the op with no transformation (cached). *)
@@ -62,31 +82,66 @@ val state_seconds : t -> Sched_state.t -> float
     {!Sched_state.digest}): a state whose nest was already priced — by
     this evaluator or any fork sharing its caches — skips the cost
     model entirely. [explored] still counts every call and jitter is
-    still drawn per call, so traces and noise streams are unchanged. *)
+    still drawn per call, so traces and noise streams are unchanged.
+    Never injected with faults: this is one run of the backend. *)
 
 val timeout_factor : float
 (** The paper's adaptive timeout: measurements above
     [timeout_factor *. base] are treated as timed out (10.0). *)
 
-val measure : t -> Sched_state.t -> [ `Seconds of float | `Timeout of float ]
-(** [measure t state] is [`Timeout capped] when the estimate exceeds the
-    adaptive timeout, [`Seconds s] otherwise. *)
+val min_repeats : int
+(** Runs aggregated per measurement with a fault injector attached
+    (3). *)
+
+val max_retries : int
+(** Failure retries per measurement before degrading (4). *)
+
+type quality =
+  | Exact  (** measured (one run, or enough repeats under faults) *)
+  | Degraded of string
+      (** fell back to the cost-model estimate (or a partial sample
+          set) after the retries ran out; the payload says why *)
+
+type measurement = {
+  seconds : float;  (** measured time, capped at the adaptive timeout *)
+  timed_out : bool;  (** exceeded [timeout_factor *. base] *)
+  quality : quality;
+  retries : int;  (** failures retried *)
+  charged : float;
+      (** simulated wall-clock consumed: run times (capped), hang time
+          and backoff pauses — what the caller adds to its measurement
+          budget *)
+}
+
+val measure : t -> Sched_state.t -> measurement
+(** Price one schedule state against the adaptive timeout. Without a
+    fault injector this is one {!state_seconds} run. With one it is the
+    repeat/retry/degrade loop; it never raises — every failure mode
+    ends in a retry, a timeout cap or a [Degraded] estimate. *)
 
 val speedup : t -> Sched_state.t -> float
-(** [base /. measured], with timeouts evaluated at the cap (so a timeout
-    yields [1. /. timeout_factor]). Always strictly positive. *)
+(** [base /. (measure t state).seconds], so a timeout yields
+    [1. /. timeout_factor]. Always strictly positive. *)
 
 val schedule_speedup : t -> Linalg.t -> Schedule.t -> (float, string) result
 (** Apply a whole schedule and return its speedup. *)
 
-val explored : t -> int
-(** Number of [state_seconds]/[measure] calls so far — the "schedules
-    explored" counter used by the Figure 6 search-efficiency bench. *)
+type counters = {
+  explored : int;
+      (** {!state_seconds} runs — the "schedules explored" counter of
+          the Figure 6 search-efficiency bench *)
+  measurements : int;  (** {!measure} calls *)
+  retries : int;  (** failure retries across all measurements *)
+  degraded : int;  (** measurements flagged [Degraded] *)
+}
 
-val reset_explored : t -> unit
+val counters : t -> counters
 
-val set_explored : t -> int -> unit
-(** Restore the explored counter (checkpoint resume). *)
+val add_counters : t -> counters -> unit
+(** Add a fork's counters (the in-order merge of parallel work). *)
+
+val restore_counters : t -> counters -> unit
+(** Overwrite the counters (checkpoint resume). *)
 
 val noise_state : t -> int64
 (** State of the jitter stream, for checkpointing. *)

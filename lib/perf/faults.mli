@@ -5,9 +5,9 @@
     compilations fail spuriously, timings carry heavy-tailed outliers
     and the harness occasionally hangs or dies. This module models
     those failure modes as a deterministic, replayable stream so the
-    resilience layer ({!Robust_evaluator}) and the training loop can be
-    exercised — and regression-tested — against exact failure
-    sequences. *)
+    evaluator's measurement loop ({!Evaluator.measure}) and the
+    training loop can be exercised — and regression-tested — against
+    exact failure sequences. *)
 
 type fault =
   | Transient_timeout  (** the run exceeded its time budget; retryable *)

@@ -61,7 +61,11 @@ let create cfg =
       match load_result with
       | Error e -> Error ("checkpoint load failed: " ^ e)
       | Ok () ->
-          let base_env = Env.create cfg.env_cfg in
+          let evaluator =
+            Evaluator.create ~machine:cfg.env_cfg.Env_config.machine
+              ~measure_delay_s:cfg.measure_delay_s ()
+          in
+          let base_env = Env.create ~evaluator cfg.env_cfg in
           let cache =
             Util.Sharded_cache.create ~capacity:cfg.cache_capacity ()
           in
@@ -262,21 +266,6 @@ let solve_batch t ops =
   in
   if unique <> [] then begin
     let unique = Array.of_list unique in
-    (* Emulated measurement wall time: one hardware-measurement round
-       per unique uncached nest. The analytic evaluator answers in
-       microseconds, which no real deployment does — schedules are
-       timed on hardware — so benchmarks of fleet scaling would
-       otherwise be bottlenecked by this host's single core instead of
-       by measurement latency. With [jobs > 1] the engine measures
-       [jobs] nests concurrently, so the stall shrinks to the round
-       count. Cache hits skip it: a cached result needs no
-       re-measurement. Off (0.0) by default. *)
-    if t.cfg.measure_delay_s > 0.0 then begin
-      let rounds =
-        (Array.length unique + t.cfg.jobs - 1) / t.cfg.jobs
-      in
-      Unix.sleepf (t.cfg.measure_delay_s *. float_of_int rounds)
-    end;
     let computed = rollout_chunked t (Array.map (fun i -> ops.(i)) unique) in
     Array.iteri
       (fun k i ->

@@ -22,15 +22,17 @@ type config = {
           seed-0x51-initialized policy — useful for smoke tests *)
   cache_capacity : int;  (** result-cache bound (entries) *)
   measure_delay_s : float;
-      (** emulated hardware-measurement time per unique uncached nest
-          in a batch (a real deployment times candidate schedules on
-          hardware; the analytic evaluator does not). [solve_batch]
-          sleeps [measure_delay_s * ceil(unique_misses / jobs)] before
-          rolling out — [jobs] nests measure concurrently — so serving
-          latency is measurement-bound the way production is, cache
-          hits stay instant, and fleet benchmarks scale with replicas
-          instead of with this host's core count. 0 (off) by
-          default. *)
+      (** emulated hardware-measurement time, passed to the engine's
+          evaluator ({!Evaluator.create}): every state the rollouts
+          price for the first time stalls this long (a real deployment
+          times candidate schedules on hardware; the analytic
+          evaluator does not). A cold nest under the default [Final]
+          reward prices one state, so it costs about one stall; result
+          and state-cache hits stay instant, and with [jobs > 1] the
+          pool domains overlap their stalls. Serving latency is then
+          measurement-bound the way production is, and fleet
+          benchmarks scale with replicas instead of with this host's
+          core count. 0 (off) by default. *)
   jobs : int;
       (** rollout parallelism (default 1; {!create} rejects values
           below 1). Above 1 the engine owns a {!Util.Domain_pool} of

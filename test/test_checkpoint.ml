@@ -27,8 +27,7 @@ let fresh_setup ?(faults = false) () =
   let env =
     if faults then begin
       let f = Faults.create ~config:(Faults.flaky ~rate:0.15 ()) ~seed:8 () in
-      let robust = Robust_evaluator.create ~faults:f (Evaluator.create ()) in
-      Env.create ~robust cfg
+      Env.create ~evaluator:(Evaluator.create ~faults:f ()) cfg
     end
     else Env.create cfg
   in
@@ -76,8 +75,8 @@ let test_meta_roundtrip () =
       episodes = 58;
       best_speedup = 12.5;
       measurement_seconds = 321.75;
-      explored = 99;
-      degraded = 3;
+      counters =
+        { Evaluator.explored = 99; measurements = 41; retries = 12; degraded = 3 };
       noise_state = -1L;
       fault_state = Some (42L, 17);
     }
@@ -87,6 +86,24 @@ let test_meta_roundtrip () =
   (match Checkpoint.load_meta ~path with
   | Error e -> Alcotest.fail e
   | Ok m -> Alcotest.(check bool) "meta roundtrips" true (m = meta));
+  cleanup path
+
+let test_meta_without_counter_keys () =
+  (* v2 files written before the measurements/retries keys existed
+     still load, with both counters read as 0. *)
+  let path = tmp_prefix "old_meta" in
+  let oc = open_out (path ^ ".meta") in
+  output_string oc
+    "mlir-rl-checkpoint v2\niteration 2\nrng_state 5\nepisodes 9\n\
+     best_speedup 0x1p+1\nmeasurement_seconds 0x1p+3\nexplored 40\n\
+     degraded 1\nnoise_state 7\nfault_state none\n";
+  close_out oc;
+  (match Checkpoint.load_meta ~path with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+      Alcotest.(check bool) "counters" true
+        (m.Checkpoint.counters
+        = { Evaluator.explored = 40; measurements = 0; retries = 0; degraded = 1 }));
   cleanup path
 
 let test_restore_rejects_garbage () =
@@ -130,12 +147,14 @@ let test_optim_state_roundtrip () =
     (weights_equal expected (copy_weights params));
   Sys.remove path
 
+let counters env = Evaluator.counters (Env.evaluator env)
+
 let run_straight ?(faults = false) ~iterations () =
   let env, policy = fresh_setup ~faults () in
   let stats =
     Trainer.train (train_config ~iterations ()) env policy ~ops:small_ops
   in
-  (List.map stats_key stats, Policy.params policy)
+  (List.map stats_key stats, Policy.params policy, counters env)
 
 let run_interrupted ?(faults = false) ~iterations ~kill_after () =
   let path = tmp_prefix (if faults then "resume_f" else "resume") in
@@ -157,12 +176,16 @@ let run_interrupted ?(faults = false) ~iterations ~kill_after () =
       env2 policy2 ~ops:small_ops
   in
   cleanup path;
-  (List.map stats_key first @ List.map stats_key rest, Policy.params policy2)
+  ( List.map stats_key first @ List.map stats_key rest,
+    Policy.params policy2,
+    counters env2 )
 
 let check_identical ~faults () =
   let iterations = 6 and kill_after = 3 in
-  let straight, w_straight = run_straight ~faults ~iterations () in
-  let resumed, w_resumed = run_interrupted ~faults ~iterations ~kill_after () in
+  let straight, w_straight, _ = run_straight ~faults ~iterations () in
+  let resumed, w_resumed, _ =
+    run_interrupted ~faults ~iterations ~kill_after ()
+  in
   Alcotest.(check int) "same number of iteration stats" iterations
     (List.length resumed);
   List.iteri
@@ -174,6 +197,20 @@ let check_identical ~faults () =
 
 let test_resume_identical_clean () = check_identical ~faults:false ()
 let test_resume_identical_faulty () = check_identical ~faults:true ()
+
+let test_resume_keeps_counters () =
+  (* The evaluator's measurement/retry/degraded counters survive a
+     resume: the resumed run ends on the straight run's record. *)
+  let _, _, straight = run_straight ~faults:true ~iterations:4 () in
+  let _, _, resumed =
+    run_interrupted ~faults:true ~iterations:4 ~kill_after:2 ()
+  in
+  Alcotest.(check bool) "retries happened" true (straight.Evaluator.retries > 0);
+  Alcotest.(check (list int)) "explored, measurements, retries, degraded"
+    [ straight.Evaluator.explored; straight.Evaluator.measurements;
+      straight.Evaluator.retries; straight.Evaluator.degraded ]
+    [ resumed.Evaluator.explored; resumed.Evaluator.measurements;
+      resumed.Evaluator.retries; resumed.Evaluator.degraded ]
 
 let test_resume_missing_checkpoint_starts_fresh () =
   let path = tmp_prefix "missing" in
@@ -220,12 +257,16 @@ let test_checkpoint_files_written () =
 let suite =
   [
     Alcotest.test_case "meta roundtrip" `Quick test_meta_roundtrip;
+    Alcotest.test_case "meta without counter keys loads" `Quick
+      test_meta_without_counter_keys;
     Alcotest.test_case "corrupt meta rejected" `Quick test_restore_rejects_garbage;
     Alcotest.test_case "optimizer state roundtrip" `Quick test_optim_state_roundtrip;
     Alcotest.test_case "kill+resume = straight run (clean)" `Slow
       test_resume_identical_clean;
     Alcotest.test_case "kill+resume = straight run (faulty backend)" `Slow
       test_resume_identical_faulty;
+    Alcotest.test_case "kill+resume keeps evaluator counters" `Slow
+      test_resume_keeps_counters;
     Alcotest.test_case "resume with no checkpoint starts fresh" `Quick
       test_resume_missing_checkpoint_starts_fresh;
     Alcotest.test_case "resume without path rejected" `Quick

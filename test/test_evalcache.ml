@@ -188,7 +188,7 @@ let test_state_cache_hits_and_stats () =
       check_int "one miss" 1 s.Util.Sharded_cache.misses;
       check_int "one hit" 1 s.Util.Sharded_cache.hits);
   check_int "explored counts logical calls, hits included" 2
-    (Evaluator.explored ev);
+    (Evaluator.counters ev).Evaluator.explored;
   let off = Evaluator.create ~state_cache_capacity:0 () in
   check "capacity 0 disables the state cache" true
     ((Evaluator.cache_stats off).Evaluator.state = None);
@@ -260,7 +260,8 @@ let differential ?noise ?(budget = 20000) op =
   let memo = Auto_scheduler.search ~config memo_ev op in
   check_same_result op.Linalg.op_name naive memo;
   check_int (op.Linalg.op_name ^ ": evaluator explored (jitter stream length)")
-    (Evaluator.explored naive_ev) (Evaluator.explored memo_ev)
+    (Evaluator.counters naive_ev).Evaluator.explored
+    (Evaluator.counters memo_ev).Evaluator.explored
 
 let test_differential_exhaustive () =
   differential (Test_helpers.small_matmul ());

@@ -118,9 +118,10 @@ let test_schedule_state_point_band_after_everything () =
 let test_evaluator_explored_monotone () =
   let ev = Evaluator.create () in
   let op = Test_helpers.small_matmul () in
-  let before = Evaluator.explored ev in
+  let before = (Evaluator.counters ev).Evaluator.explored in
   ignore (Evaluator.schedule_speedup ev op [ Schedule.Vectorize ]);
-  Alcotest.(check int) "incremented" (before + 1) (Evaluator.explored ev)
+  Alcotest.(check int) "incremented" (before + 1)
+    (Evaluator.counters ev).Evaluator.explored
 
 let suite =
   [

@@ -43,10 +43,9 @@ let stats_key (s : Trainer.iteration_stats) =
 
 let noisy_faulty_env () =
   let cfg = Env_config.default in
-  let evaluator = Evaluator.create ~noise:0.05 ~noise_seed:11 () in
   let faults = Faults.create ~config:(Faults.flaky ~rate:0.15 ()) ~seed:8 () in
-  let robust = Robust_evaluator.create ~faults evaluator in
-  Env.create ~robust cfg
+  let evaluator = Evaluator.create ~noise:0.05 ~noise_seed:11 ~faults () in
+  Env.create ~evaluator cfg
 
 let train_with ~jobs ~checkpoint_path =
   let env = noisy_faulty_env () in

@@ -1,6 +1,6 @@
-(* Fault injection, the retrying robust evaluator, and the environment's
-   failure paths: degraded measurements, timeouts under both reward
-   modes, and deterministic fault replay. *)
+(* Fault injection, the evaluator's repeat/retry/degrade measurement
+   loop, and the environment's failure paths: degraded measurements,
+   timeouts under both reward modes, and deterministic fault replay. *)
 
 let cfg = Env_config.default
 
@@ -70,35 +70,37 @@ let test_faults_validate () =
        (Faults.validate
           { Faults.none with Faults.hang_prob = 0.6; outlier_prob = 0.6 }))
 
-(* --- Robust evaluator --- *)
+(* --- Measurement under faults --- *)
+
+(* An evaluator with a fault injector attached measures the paper's
+   way: repeats, retries, degradation. Each successful run is one
+   [state_seconds] call, so [explored] counts the samples taken. *)
+let faulty ?(noise = 0.0) ?(noise_seed = 0) ?(seed = 0) config =
+  Evaluator.create ~noise ~noise_seed
+    ~faults:(Faults.create ~config ~seed ())
+    ()
+
+let samples ev = (Evaluator.counters ev).Evaluator.explored
 
 let test_robust_matches_plain_when_clean () =
-  let ev = Evaluator.create () in
-  let rob = Robust_evaluator.create ev in
+  let ev = faulty Faults.none in
   let st = vectorized_state () in
-  let m = Robust_evaluator.measure rob st in
-  Alcotest.(check bool) "exact" true (m.Robust_evaluator.quality = Robust_evaluator.Exact);
-  Alcotest.(check int) "min repeats" 3 m.Robust_evaluator.samples;
-  Alcotest.(check int) "no retries" 0 m.Robust_evaluator.retries;
+  let m = Evaluator.measure ev st in
+  Alcotest.(check bool) "exact" true (m.Evaluator.quality = Evaluator.Exact);
+  Alcotest.(check int) "min repeats" 3 (samples ev);
+  Alcotest.(check int) "no retries" 0 m.Evaluator.retries;
   (* Noiseless samples are identical; the median is the plain value. *)
   Alcotest.(check (float 1e-15)) "agrees with plain evaluator"
     (Evaluator.state_seconds (Evaluator.create ()) st)
-    m.Robust_evaluator.seconds
+    m.Evaluator.seconds
 
 let test_robust_repeats_until_stable () =
   (* Heavy jitter: the adaptive loop should take more than min_repeats
      samples (up to the cap) before aggregating. *)
-  let ev = Evaluator.create ~noise:0.4 ~noise_seed:9 () in
-  let rob =
-    Robust_evaluator.create
-      ~config:
-        { Robust_evaluator.default_config with Robust_evaluator.stability_rsd = 0.01 }
-      ev
-  in
-  let m = Robust_evaluator.measure rob (vectorized_state ()) in
-  Alcotest.(check int) "hits the repeat cap" 9 m.Robust_evaluator.samples;
-  Alcotest.(check bool) "still exact" true
-    (m.Robust_evaluator.quality = Robust_evaluator.Exact)
+  let ev = faulty ~noise:0.4 ~noise_seed:9 Faults.none in
+  let m = Evaluator.measure ev (vectorized_state ()) in
+  Alcotest.(check int) "hits the repeat cap" 9 (samples ev);
+  Alcotest.(check bool) "still exact" true (m.Evaluator.quality = Evaluator.Exact)
 
 let test_robust_aggregation_tames_outliers () =
   (* 20% heavy (up to 50x) outliers: median aggregation keeps the
@@ -106,17 +108,13 @@ let test_robust_aggregation_tames_outliers () =
      measurements within a small factor of it — where a mean would be
      dragged far off by every contaminated batch. *)
   let clean = Evaluator.state_seconds (Evaluator.create ()) (vectorized_state ()) in
-  let faults =
-    Faults.create
-      ~config:
-        { Faults.none with Faults.outlier_prob = 0.2; outlier_scale = 50.0 }
-      ~seed:21 ()
+  let ev =
+    faulty ~seed:21
+      { Faults.none with Faults.outlier_prob = 0.2; outlier_scale = 50.0 }
   in
-  let rob = Robust_evaluator.create ~faults (Evaluator.create ()) in
   let ratios =
     List.init 20 (fun _ ->
-        (Robust_evaluator.measure rob (vectorized_state ())).Robust_evaluator.seconds
-        /. clean)
+        (Evaluator.measure ev (vectorized_state ())).Evaluator.seconds /. clean)
   in
   Alcotest.(check (float 1e-9)) "typical measurement unaffected" 1.0
     (Util.Stats.median ratios);
@@ -126,80 +124,51 @@ let test_robust_aggregation_tames_outliers () =
     true (tamed >= 16)
 
 let test_robust_degrades_to_cost_model () =
-  let ev = Evaluator.create () in
-  let faults =
-    Faults.create
-      ~config:{ Faults.none with Faults.transient_timeout_prob = 1.0 }
-      ~seed:1 ()
+  let ev =
+    faulty ~seed:1 { Faults.none with Faults.transient_timeout_prob = 1.0 }
   in
-  let rob = Robust_evaluator.create ~faults ev in
   let st = vectorized_state () in
-  let m = Robust_evaluator.measure rob st in
+  let m = Evaluator.measure ev st in
   Alcotest.(check bool) "degraded" true
-    (match m.Robust_evaluator.quality with
-    | Robust_evaluator.Degraded _ -> true
-    | Robust_evaluator.Exact -> false);
-  Alcotest.(check int) "all retries spent"
-    Robust_evaluator.default_config.Robust_evaluator.max_retries
-    m.Robust_evaluator.retries;
-  Alcotest.(check int) "no samples" 0 m.Robust_evaluator.samples;
+    (match m.Evaluator.quality with
+    | Evaluator.Degraded _ -> true
+    | Evaluator.Exact -> false);
+  Alcotest.(check int) "all retries spent" Evaluator.max_retries
+    m.Evaluator.retries;
+  Alcotest.(check int) "no samples" 0 (samples ev);
   (* The fallback is the pure cost-model estimate — the plain
      evaluator's noiseless price for the same state. *)
   Alcotest.(check (float 1e-15)) "cost-model fallback"
     (Evaluator.state_seconds (Evaluator.create ()) st)
-    m.Robust_evaluator.seconds;
-  Alcotest.(check int) "counted" 1 (Robust_evaluator.degraded_count rob)
+    m.Evaluator.seconds;
+  Alcotest.(check int) "counted" 1 (Evaluator.counters ev).Evaluator.degraded
 
 let test_robust_backoff_charges_budget () =
-  let ev = Evaluator.create () in
-  let faults =
-    Faults.create
-      ~config:{ Faults.none with Faults.compile_failure_prob = 1.0 }
-      ~seed:1 ()
+  let ev =
+    faulty ~seed:1 { Faults.none with Faults.compile_failure_prob = 1.0 }
   in
-  let cfg_r =
-    {
-      Robust_evaluator.default_config with
-      Robust_evaluator.backoff_base = 1.0;
-      backoff_factor = 2.0;
-      max_retries = 4;
-    }
-  in
-  let rob = Robust_evaluator.create ~config:cfg_r ~faults ev in
-  let m = Robust_evaluator.measure rob (vectorized_state ()) in
+  let m = Evaluator.measure ev (vectorized_state ()) in
   (* Compile failures charge nothing but the backoff pauses:
      1 + 2 + 4 + 8 = 15 simulated seconds. *)
   Alcotest.(check (float 1e-9)) "exponential backoff charged" 15.0
-    m.Robust_evaluator.charged
+    m.Evaluator.charged
 
 let test_robust_recovers_from_crash () =
-  let ev = Evaluator.create () in
-  let faults =
-    Faults.create
-      ~config:{ Faults.none with Faults.crash_on_call = Some 1 }
-      ~seed:4 ()
-  in
-  let rob = Robust_evaluator.create ~faults ev in
-  let m = Robust_evaluator.measure rob (vectorized_state ()) in
+  let ev = faulty ~seed:4 { Faults.none with Faults.crash_on_call = Some 1 } in
+  let m = Evaluator.measure ev (vectorized_state ()) in
   Alcotest.(check bool) "exact after crash recovery" true
-    (m.Robust_evaluator.quality = Robust_evaluator.Exact);
-  Alcotest.(check int) "one retry" 1 m.Robust_evaluator.retries
+    (m.Evaluator.quality = Evaluator.Exact);
+  Alcotest.(check int) "one retry" 1 m.Evaluator.retries
 
 let test_robust_trace_replays_identically () =
   let run () =
-    let faults =
-      Faults.create ~config:(Faults.flaky ~rate:0.4 ()) ~seed:77 ()
+    let ev =
+      faulty ~noise:0.05 ~noise_seed:2 ~seed:77 (Faults.flaky ~rate:0.4 ())
     in
-    let rob =
-      Robust_evaluator.create ~faults (Evaluator.create ~noise:0.05 ~noise_seed:2 ())
-    in
-    for _ = 1 to 25 do
-      ignore (Robust_evaluator.measure rob (vectorized_state ()))
-    done;
-    Robust_evaluator.trace rob
+    List.init 25 (fun _ -> Evaluator.measure ev (vectorized_state ()))
   in
   let a = run () and b = run () in
-  Alcotest.(check int) "25 trace lines" 25 (List.length a);
+  Alcotest.(check int) "25 measurements" 25 (List.length a);
   Alcotest.(check bool) "recovery trace identical across runs" true (a = b)
 
 let test_base_cache_keys_by_shape () =
@@ -216,12 +185,12 @@ let test_base_cache_keys_by_shape () =
   Alcotest.(check bool) "digests differ" true
     (Linalg.digest small <> Linalg.digest big)
 
-(* --- Environment failure paths under the robust evaluator --- *)
+(* --- Environment failure paths under faults --- *)
 
 let robust_env ?(reward_mode = Env_config.Final) ?(rate = 0.3) ?(seed = 9) () =
-  let faults = Faults.create ~config:(Faults.flaky ~rate ()) ~seed () in
-  let robust = Robust_evaluator.create ~faults (Evaluator.create ()) in
-  Env.create ~robust (Env_config.with_reward_mode reward_mode Env_config.default)
+  Env.create
+    ~evaluator:(faulty ~seed (Faults.flaky ~rate ()))
+    (Env_config.with_reward_mode reward_mode Env_config.default)
 
 let test_env_timeout_reward_immediate () =
   let env = robust_env ~reward_mode:Env_config.Immediate ~rate:0.0 () in
@@ -248,34 +217,26 @@ let test_env_degraded_flagged () =
   (* A backend that always fails: every measured step must be flagged
      degraded with a typed Backend_failure, and the episode must still
      complete without an exception. *)
-  let faults =
-    Faults.create
-      ~config:{ Faults.none with Faults.transient_timeout_prob = 1.0 }
-      ~seed:2 ()
-  in
-  let robust = Robust_evaluator.create ~faults (Evaluator.create ()) in
   let env =
-    Env.create ~robust
+    Env.create
+      ~evaluator:
+        (faulty ~seed:2 { Faults.none with Faults.transient_timeout_prob = 1.0 })
       (Env_config.with_reward_mode Env_config.Immediate Env_config.default)
   in
+  let degraded () = (Evaluator.counters (Env.evaluator env)).Evaluator.degraded in
   ignore (Env.reset env (matmul ()));
   let r = Env.step env (Some (Schedule.Swap 0)) in
   Alcotest.(check bool) "degraded flag" true r.Env.degraded;
   (match r.Env.error with
   | Some (Env_error.Backend_failure f) ->
-      Alcotest.(check int) "retries reported"
-        Robust_evaluator.default_config.Robust_evaluator.max_retries
+      Alcotest.(check int) "retries reported" Evaluator.max_retries
         f.Env_error.retries;
       Alcotest.(check bool) "op recorded" true
         (f.Env_error.op_name = (matmul ()).Linalg.op_name)
   | _ -> Alcotest.fail "expected a typed Backend_failure");
-  Alcotest.(check int) "episode degraded count" 1 (Env.episode_degraded env);
-  Alcotest.(check int) "cumulative degraded count" 1
-    (Env.degraded_measurements env);
+  Alcotest.(check int) "cumulative degraded count" 1 (degraded ());
   ignore (Env.reset env (matmul ()));
-  Alcotest.(check int) "episode counter resets" 0 (Env.episode_degraded env);
-  Alcotest.(check int) "cumulative counter kept" 1
-    (Env.degraded_measurements env)
+  Alcotest.(check int) "cumulative counter kept" 1 (degraded ())
 
 let test_env_robust_charges_budget () =
   let env = robust_env ~reward_mode:Env_config.Immediate ~rate:0.0 () in

@@ -212,7 +212,9 @@ let check_search_identity ~name ?noise ~budget ~expect_exhaustive op =
       | Some sigma -> Evaluator.create ~noise:sigma ~noise_seed:9 ()
     in
     let r = Auto_scheduler.search ~config ~jobs ev op in
-    (result_key r, Evaluator.explored ev, Evaluator.cache_stats ev)
+    ( result_key r,
+      (Evaluator.counters ev).Evaluator.explored,
+      Evaluator.cache_stats ev )
   in
   match noise with
   | None ->
@@ -349,7 +351,7 @@ let test_beam_identity () =
       let run jobs =
         let ev = Evaluator.create () in
         let r = Beam_search.search ~jobs ev op in
-        (beam_key r, Evaluator.explored ev)
+        (beam_key r, (Evaluator.counters ev).Evaluator.explored)
       in
       let k1, e1 = run 1 in
       List.iter

@@ -335,6 +335,57 @@ let test_model_predict_batch_matches () =
         batched.(i))
     xs
 
+(* Log every distinct schedule a small search prices on [ops]. *)
+let logged_entries ops =
+  let log = Surrogate.Dataset_log.create () in
+  let ev = Evaluator.create () in
+  Surrogate.Dataset_log.attach log ev;
+  let config =
+    { Auto_scheduler.default_config with Auto_scheduler.max_schedules = 24 }
+  in
+  List.iter (fun op -> ignore (Auto_scheduler.search ~config ev op)) ops;
+  Surrogate.Dataset_log.entries log
+
+let test_model_generalizes_to_held_out_ops () =
+  (* Fit on measured schedules of some ops, rank the measured schedules
+     of ops the model never saw — enough to guide a search. *)
+  let train =
+    logged_entries
+      [
+        Linalg.matmul ~m:256 ~n:256 ~k:256 ();
+        Linalg.matmul ~m:64 ~n:128 ~k:32 ();
+        Linalg.add [| 512; 512 |];
+        Linalg.relu [| 1024; 256 |];
+        Linalg.matmul ~m:32 ~n:32 ~k:512 ();
+        Linalg.add [| 128; 64 |];
+      ]
+  in
+  let held_out =
+    logged_entries
+      [
+        Linalg.matmul ~m:512 ~n:128 ~k:256 ();
+        Linalg.relu [| 256; 256 |];
+        Linalg.add [| 1024; 128 |];
+      ]
+  in
+  let model = Surrogate.Model.create ~seed:17 () in
+  ignore (Surrogate.Model.fit ~epochs:40 ~seed:17 model train);
+  let rho = Surrogate.Model.spearman model held_out in
+  check (Printf.sprintf "held-out rank correlation %.3f > 0.5" rho) true
+    (rho > 0.5)
+
+let test_model_fit_rejects_too_few () =
+  let model = Surrogate.Model.create ~seed:1 () in
+  List.iter
+    (fun n ->
+      check
+        (Printf.sprintf "%d examples rejected" n)
+        true
+        (match Surrogate.Model.fit model (synthetic_entries n) with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ 0; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* Ranker                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -522,6 +573,10 @@ let suite =
       test_model_checkpoint_roundtrip;
     Alcotest.test_case "model: predict_batch = predict" `Quick
       test_model_predict_batch_matches;
+    Alcotest.test_case "model: generalizes by rank" `Quick
+      test_model_generalizes_to_held_out_ops;
+    Alcotest.test_case "model: fit rejects too few" `Quick
+      test_model_fit_rejects_too_few;
     Alcotest.test_case "ranker: batch = single" `Quick
       test_ranker_batch_matches_single;
     Alcotest.test_case "ranker: cache counters" `Quick
