@@ -13,7 +13,7 @@
 
 let usage () =
   print_endline
-    "usage: main.exe [--fast|--quick] [table1] [table2] [fig5] [fig6] [fig7] [fig8] [ablation] [faults] [legality] [sanitize] [throughput] [tensor] [serve] [fleet] [evalcache] [search] [surrogate] [micro]";
+    "usage: main.exe [--fast|--quick] [table1] [table2] [fig5] [fig6] [fig7] [fig8] [ablation] [faults] [legality] [sanitize] [throughput] [tensor] [serve] [evalcache] [search] [surrogate] [micro]";
   exit 2
 
 let () =
@@ -30,7 +30,7 @@ let () =
           (List.mem a
              [ "table1"; "table2"; "fig5"; "fig6"; "fig7"; "fig8"; "ablation";
                "faults"; "legality"; "sanitize"; "throughput"; "tensor";
-               "serve"; "fleet"; "evalcache"; "search"; "surrogate"; "micro" ])
+               "serve"; "evalcache"; "search"; "surrogate"; "micro" ])
       then begin
         Printf.printf "unknown experiment %S\n" a;
         usage ()
@@ -68,7 +68,6 @@ let () =
   if want "throughput" then Exp_throughput.run c;
   if want "tensor" then Exp_tensor.run ~quick:fast c;
   if want "serve" then Exp_serve.run ~quick:fast c;
-  if want "fleet" then Exp_fleet.run ~quick:fast c;
   if want "evalcache" then Exp_evalcache.run ~quick:fast c;
   if want "search" then Exp_search.run ~quick:fast c;
   if want "surrogate" then Exp_surrogate.run ~quick:fast c;

@@ -537,14 +537,21 @@ let infer_cmd =
       const run $ spec_arg $ hidden $ load_path $ trials $ jobs $ seed
       $ greedy_only)
 
-(* --- serve / request / fleet-status: the schedule-serving daemon
-   (single replica or supervised fleet), its client, and the fleet
-   status probe (see docs/serving.md) --- *)
+(* --- serve / request: the schedule-serving daemon and its client
+   (see docs/serving.md) --- *)
 
 let serve_cmd =
-  (* A single replica: engine + batched server in this process. *)
-  let run_single ~hidden ~load_path ~workers ~max_batch ~max_queue
-      ~max_wait_ms ~cache_capacity ~measure_delay_ms ~jobs ~socket =
+  let run hidden load_path workers max_batch max_queue max_wait_ms
+      cache_capacity socket measure_delay_ms jobs =
+    check_jobs jobs;
+    if max_wait_ms < 0.0 then begin
+      Format.eprintf "--max-wait-ms must be >= 0@.";
+      exit 2
+    end;
+    if measure_delay_ms < 0.0 then begin
+      Format.eprintf "--measure-delay-ms must be >= 0@.";
+      exit 2
+    end;
     let engine_cfg =
       {
         Serve.Engine.default_config with
@@ -590,131 +597,6 @@ let serve_cmd =
         Serve.Frontend.serve_channels server stdin stdout;
         Serve.Server.drain server
   in
-  (* A supervised fleet: spawn [replicas] copies of this executable as
-     single-replica daemons on private sockets, put the supervisor in
-     front (crash restart, health checks, breaker shedding,
-     consistent-hash routing, hedged retries). *)
-  let run_fleet ~replicas ~hidden ~load_path ~workers ~max_batch ~max_queue
-      ~max_wait_ms ~cache_capacity ~measure_delay_ms ~jobs ~socket =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "mlir-rl-fleet-%d" (Unix.getpid ()))
-    in
-    (try Unix.mkdir dir 0o700
-     with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let replica_socket i = Filename.concat dir (Printf.sprintf "replica-%d.sock" i) in
-    let child_args i =
-      [
-        "serve";
-        "--socket"; replica_socket i;
-        "--hidden"; string_of_int hidden;
-        "--workers"; string_of_int workers;
-        "--max-batch"; string_of_int max_batch;
-        "--max-queue"; string_of_int max_queue;
-        "--max-wait-ms"; Printf.sprintf "%g" max_wait_ms;
-        "--cache-capacity"; string_of_int cache_capacity;
-        "--measure-delay-ms"; Printf.sprintf "%g" measure_delay_ms;
-        "--jobs"; string_of_int jobs;
-      ]
-      @ (match load_path with Some p -> [ "--load"; p ] | None -> [])
-    in
-    let launcher ~index =
-      Serve.Replica.spawn ~exe:Sys.executable_name ~args:(child_args index)
-        ~socket:(replica_socket index) ()
-    in
-    let config = { Serve.Supervisor.default_config with replicas } in
-    let sup =
-      match Serve.Supervisor.create ~config ~launcher () with
-      | Ok s -> s
-      | Error e ->
-          Format.eprintf "cannot start fleet: %s@." e;
-          exit 1
-    in
-    if not (Serve.Supervisor.await_ready sup ~timeout_s:60.0) then
-      Format.eprintf
-        "mlir-rl serve: warning: fleet not fully up after 60s; supervisor \
-         keeps retrying@.";
-    Serve.Supervisor.start_heartbeat sup;
-    let cleanup () =
-      Serve.Supervisor.drain sup;
-      for i = 0 to replicas - 1 do
-        try Sys.remove (replica_socket i) with Sys_error _ -> ()
-      done;
-      try Unix.rmdir dir with Unix.Unix_error _ -> ()
-    in
-    (* The OCaml runtime may run a signal handler on any thread at a
-       safe point — including the heartbeat thread while it holds the
-       supervisor mutex inside tick — and Supervisor.drain locks that
-       (non-reentrant) mutex, waits on its condition variable and
-       joins the heartbeat. So the handler must not drain: it only
-       pokes a self-pipe, and a dedicated shutdown thread (which holds
-       no supervisor state) performs drain/cleanup/exit. *)
-    let stop_rd, stop_wr = Unix.pipe ~cloexec:true () in
-    let (_shutdown : Thread.t) =
-      Thread.create
-        (fun () ->
-          let b = Bytes.create 1 in
-          let rec await () =
-            match Unix.read stop_rd b 0 1 with
-            | _ -> ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ()
-          in
-          await ();
-          cleanup ();
-          exit 0)
-        ()
-    in
-    let stop _ =
-      try ignore (Unix.write stop_wr (Bytes.make 1 '!') 0 1)
-      with Unix.Unix_error _ -> ()
-    in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-    Format.eprintf
-      "mlir-rl serve: fleet of %d replicas (sockets under %s) | %s@." replicas
-      dir
-      (match socket with
-      | Some p -> "unix socket " ^ p
-      | None -> "stdio");
-    (* Optimize requests run on their own thread so one slow rollout
-       does not head-of-line-block a connection's pipelined requests;
-       clients correlate replies by id. *)
-    let handler req k =
-      match req with
-      | Serve.Protocol.Optimize _ ->
-          ignore
-            (Thread.create (fun () -> k (Serve.Supervisor.call sup req)) ())
-      | _ -> k (Serve.Supervisor.call sup req)
-    in
-    match socket with
-    | Some path -> Serve.Frontend.listen_unix_handler handler ~path
-    | None ->
-        Serve.Frontend.serve_channels_handler handler stdin stdout;
-        cleanup ()
-  in
-  let run hidden load_path workers max_batch max_queue max_wait_ms
-      cache_capacity socket replicas measure_delay_ms jobs =
-    check_jobs jobs;
-    if max_wait_ms < 0.0 then begin
-      Format.eprintf "--max-wait-ms must be >= 0@.";
-      exit 2
-    end;
-    if measure_delay_ms < 0.0 then begin
-      Format.eprintf "--measure-delay-ms must be >= 0@.";
-      exit 2
-    end;
-    if replicas < 1 then begin
-      Format.eprintf "--replicas must be >= 1@.";
-      exit 2
-    end;
-    if replicas = 1 then
-      run_single ~hidden ~load_path ~workers ~max_batch ~max_queue
-        ~max_wait_ms ~cache_capacity ~measure_delay_ms ~jobs ~socket
-    else
-      run_fleet ~replicas ~hidden ~load_path ~workers ~max_batch ~max_queue
-        ~max_wait_ms ~cache_capacity ~measure_delay_ms ~jobs ~socket
-  in
   let hidden =
     Arg.(value & opt int 64 & info [ "hidden" ] ~doc:"Hidden width used at training")
   in
@@ -759,16 +641,6 @@ let serve_cmd =
             "Serve on a Unix-domain socket at PATH instead of stdin/stdout; \
              runs until killed")
   in
-  let replicas =
-    Arg.(
-      value & opt int 1
-      & info [ "replicas" ]
-          ~doc:
-            "Run a supervised fleet of N replica processes behind this front \
-             door: crash restart with capped backoff, health checks, circuit \
-             breakers, consistent-hash routing, hedged retries. 1 (default) \
-             serves in-process")
-  in
   let measure_delay_ms =
     Arg.(
       value & opt float 0.0
@@ -784,20 +656,17 @@ let serve_cmd =
       value & opt int 1
       & info [ "jobs"; "j" ]
           ~doc:
-            "Worker domains per engine for chunked batch rollouts (default \
-             1); with --replicas each replica gets its own pool. Results are \
-             identical for any value (see docs/parallelism.md)")
+            "Worker domains for chunked batch rollouts (default 1). \
+             Results are identical for any value (see docs/parallelism.md)")
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Run the batched schedule-serving daemon (line protocol on \
-          stdin/stdout or a Unix socket), optionally as a supervised \
-          multi-replica fleet")
+          stdin/stdout or a Unix socket)")
     Term.(
       const run $ hidden $ load_path $ workers $ max_batch $ max_queue
-      $ max_wait_ms $ cache_capacity $ socket $ replicas $ measure_delay_ms
-      $ jobs)
+      $ max_wait_ms $ cache_capacity $ socket $ measure_delay_ms $ jobs)
 
 let request_cmd =
   let run id spec ir_file stats metrics ping deadline_ms socket timeout_ms =
@@ -841,13 +710,13 @@ let request_cmd =
            so a dead or wedged daemon is a typed fast failure, never a
            hang. *)
         match
-          Serve.Replica.call_once ~socket:path
+          Serve.Client.call_once ~socket:path
             ~timeout_s:(timeout_ms /. 1000.0) req
         with
         | Ok resp -> print_endline (Serve.Protocol.encode_response resp)
         | Error err ->
             Format.eprintf "request failed: %s@."
-              (Serve.Replica.error_to_string err);
+              (Serve.Client.error_to_string err);
             exit 1)
   in
   let id = Arg.(value & opt string "r1" & info [ "id" ] ~doc:"Request id") in
@@ -901,60 +770,6 @@ let request_cmd =
     Term.(
       const run $ id $ spec $ ir_file $ stats $ metrics $ ping $ deadline_ms
       $ socket $ timeout_ms)
-
-let fleet_status_cmd =
-  let run socket timeout_ms metrics =
-    if timeout_ms <= 0.0 then begin
-      Format.eprintf "--timeout-ms must be > 0@.";
-      exit 2
-    end;
-    let req =
-      if metrics then Serve.Protocol.Metrics { id = "fleet-status" }
-      else Serve.Protocol.Stats { id = "fleet-status" }
-    in
-    match
-      Serve.Replica.call_once ~socket ~timeout_s:(timeout_ms /. 1000.0) req
-    with
-    | Ok (Serve.Protocol.Stats_reply { body; _ })
-    | Ok (Serve.Protocol.Metrics_reply { body; _ }) ->
-        print_string body;
-        if String.length body > 0 && body.[String.length body - 1] <> '\n'
-        then print_newline ()
-    | Ok resp ->
-        Format.eprintf "unexpected reply: %s@."
-          (Serve.Protocol.encode_response resp);
-        exit 1
-    | Error err ->
-        Format.eprintf "fleet-status failed: %s@."
-          (Serve.Replica.error_to_string err);
-        exit 1
-  in
-  let socket =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "socket" ] ~doc:"Unix socket of the fleet front door (or any serve daemon)")
-  in
-  let timeout_ms =
-    Arg.(
-      value & opt float 5000.0
-      & info [ "timeout-ms" ] ~doc:"Connect + reply deadline")
-  in
-  let metrics =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:
-            "Print the fleet-aggregated Prometheus dump (per-replica \
-             up/restarts/breaker gauges, merged latency histograms) instead \
-             of the status summary")
-  in
-  Cmd.v
-    (Cmd.info "fleet-status"
-       ~doc:
-         "Show replica states, restarts, breakers and fleet metrics of a \
-          running fleet")
-    Term.(const run $ socket $ timeout_ms $ metrics)
 
 (* --- analyze: dependence analysis, legality verdicts, lint --- *)
 
@@ -1420,5 +1235,5 @@ let () =
           [
             show_cmd; schedule_cmd; features_cmd; analyze_cmd; autoschedule_cmd;
             compare_cmd; dataset_cmd; train_cmd; infer_cmd; serve_cmd;
-            request_cmd; fleet_status_cmd; play_cmd; surrogate_cmd;
+            request_cmd; play_cmd; surrogate_cmd;
           ]))

@@ -7,7 +7,6 @@ type t = {
   mutable prev_seconds : float;  (* last measured time (Immediate mode) *)
   mutable last_obs : float array;
   mutable measurement_seconds : float;
-  mutable episode_measurement_seconds : float;
 }
 
 type step_result = {
@@ -46,7 +45,6 @@ let create ?evaluator cfg =
     prev_seconds = 0.0;
     last_obs = [||];
     measurement_seconds = 0.0;
-    episode_measurement_seconds = 0.0;
   }
 
 let fork t =
@@ -64,7 +62,6 @@ let fork t =
     prev_seconds = 0.0;
     last_obs = [||];
     measurement_seconds = 0.0;
-    episode_measurement_seconds = 0.0;
   }
 
 let config t = t.cfg
@@ -83,7 +80,6 @@ let reset t op =
   t.steps <- 0;
   t.finished <- false;
   t.prev_seconds <- Evaluator.base_seconds t.ev op;
-  t.episode_measurement_seconds <- 0.0;
   let obs = Observation.extract t.cfg s in
   t.last_obs <- obs;
   obs
@@ -93,8 +89,7 @@ let step_count t = t.steps
 
 let charge_measurement t seconds =
   let total = t.cfg.Env_config.compile_seconds +. seconds in
-  t.measurement_seconds <- t.measurement_seconds +. total;
-  t.episode_measurement_seconds <- t.episode_measurement_seconds +. total
+  t.measurement_seconds <- t.measurement_seconds +. total
 
 (* Price a state. Returns the (possibly capped) measurement plus the
    typed error when the backend had to degrade to the cost model. *)
@@ -126,7 +121,6 @@ let current_speedup t =
 let schedule t = (state t).Sched_state.applied
 
 let measurement_seconds t = t.measurement_seconds
-let episode_measurement_seconds t = t.episode_measurement_seconds
 let absorb t fork =
   t.measurement_seconds <- t.measurement_seconds +. fork.measurement_seconds;
   Evaluator.add_counters t.ev (Evaluator.counters fork.ev)

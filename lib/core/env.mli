@@ -89,9 +89,6 @@ val measurement_seconds : t -> float
     measured execution time (under faults: all repeats, capped hangs
     and backoff pauses). *)
 
-val episode_measurement_seconds : t -> float
-(** Same accounting, but only since the last {!reset}. *)
-
 val absorb : t -> t -> unit
 (** [absorb t fork] adds a {!fork}'s measurement seconds and evaluator
     counters to [t]'s — the in-order merge of parallel episodes. *)

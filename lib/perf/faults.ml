@@ -115,60 +115,3 @@ let state t = (Util.Rng.state t.rng, t.calls)
 let restore t (s, n) =
   Util.Rng.set_state t.rng s;
   t.calls <- n
-
-(* ---------- serving-side chaos ---------- *)
-
-type chaos_action =
-  | Kill_replica
-  | Stall of float
-  | Garble
-
-type chaos_event = { at_s : float; replica : int; action : chaos_action }
-
-let chaos_action_to_string = function
-  | Kill_replica -> "kill"
-  | Stall s -> Printf.sprintf "stall(%.2fs)" s
-  | Garble -> "garble"
-
-let chaos_event_to_string e =
-  Printf.sprintf "t=%.3fs replica=%d %s" e.at_s e.replica
-    (chaos_action_to_string e.action)
-
-(* Poisson process over the union of the three action rates: draw
-   exponential interarrivals at the total rate, then attribute each
-   event to an action proportionally. Exactly four uniforms per event
-   whatever the outcome, so plans replay bit-identically from the
-   seed. *)
-let chaos_plan ~seed ~replicas ~duration_s ?(kill_rate = 0.5)
-    ?(stall_rate = 0.0) ?(garble_rate = 0.0) ?(stall_seconds = 0.5) () =
-  if replicas < 1 then invalid_arg "Faults.chaos_plan: replicas < 1";
-  if duration_s < 0.0 then invalid_arg "Faults.chaos_plan: duration_s < 0";
-  if kill_rate < 0.0 || stall_rate < 0.0 || garble_rate < 0.0 then
-    invalid_arg "Faults.chaos_plan: negative rate";
-  if stall_seconds < 0.0 then invalid_arg "Faults.chaos_plan: stall_seconds < 0";
-  let total = kill_rate +. stall_rate +. garble_rate in
-  if total <= 0.0 then []
-  else begin
-    let rng = Util.Rng.create seed in
-    let rec go now acc =
-      let u_dt = Util.Rng.uniform rng in
-      let u_pick = Util.Rng.uniform rng in
-      let u_replica = Util.Rng.uniform rng in
-      let u_mag = Util.Rng.uniform rng in
-      let now = now -. (log (Float.max 1e-12 (1.0 -. u_dt)) /. total) in
-      if now >= duration_s then List.rev acc
-      else
-        let replica =
-          Stdlib.min (replicas - 1) (int_of_float (u_replica *. float_of_int replicas))
-        in
-        let pick = u_pick *. total in
-        let action =
-          if pick < kill_rate then Kill_replica
-          else if pick < kill_rate +. stall_rate then
-            Stall (stall_seconds *. (0.5 +. u_mag))
-          else Garble
-        in
-        go now ({ at_s = now; replica; action } :: acc)
-    in
-    go 0.0 []
-  end

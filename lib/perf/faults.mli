@@ -69,44 +69,3 @@ val state : t -> int64 * int
 
 val restore : t -> int64 * int -> unit
 (** Reposition the stream at a state saved by {!state}. *)
-
-(** {1 Serving-side chaos}
-
-    The fleet chaos harness ([bench/exp_fleet], the CI chaos smoke)
-    injects failures into a {e running fleet} rather than into single
-    measurements: replicas are SIGKILLed mid-load, SIGSTOPped so they
-    stall past their health deadlines, or made to answer garbage. A
-    plan is generated once from a seed and then replayed against the
-    wall clock, so a chaos run is exactly reproducible. *)
-
-type chaos_action =
-  | Kill_replica  (** SIGKILL the replica process, no warning *)
-  | Stall of float
-      (** SIGSTOP the replica for this many seconds, then SIGCONT —
-          alive but unresponsive, the breaker-opening case *)
-  | Garble  (** corrupt the next reply to exercise the {!Replica}
-                [Garbled] path *)
-
-type chaos_event = { at_s : float; replica : int; action : chaos_action }
-
-val chaos_plan :
-  seed:int ->
-  replicas:int ->
-  duration_s:float ->
-  ?kill_rate:float ->
-  ?stall_rate:float ->
-  ?garble_rate:float ->
-  ?stall_seconds:float ->
-  unit ->
-  chaos_event list
-(** A Poisson event schedule over [0, duration_s), sorted by time.
-    Rates are events/second ([kill_rate] defaults to 0.5, the others
-    to 0); stall durations are uniform in
-    [[0.5, 1.5] * stall_seconds]. Deterministic: same arguments, same
-    plan, on every host. Raises [Invalid_argument] on negative rates,
-    durations or a non-positive replica count. *)
-
-val chaos_action_to_string : chaos_action -> string
-
-val chaos_event_to_string : chaos_event -> string
-(** E.g. ["t=1.250s replica=2 kill"]. *)

@@ -137,26 +137,6 @@ let nest_digest op = Loop_nest.digest (Lower.to_loop_nest op)
 
 let cache_key _t op = nest_digest op
 
-(* Engine-free digest for routing: the fleet supervisor hashes this
-   onto its replica ring, so it must agree with [cache_key] whenever
-   the target parses (then requests for one nest keep landing on the
-   replica whose result cache already holds it, however the nest was
-   spelled). Unparsable targets fall back to a digest of the raw text —
-   any replica will answer those with the same parse error. *)
-let target_digest (target : Protocol.target) =
-  match target with
-  | Protocol.Spec s -> (
-      match Op_spec.parse s with
-      | Ok op -> nest_digest op
-      | Error _ -> Digest.to_hex (Digest.string ("spec:" ^ s)))
-  | Protocol.Ir s -> (
-      match Ir_parser.parse_result s with
-      | Ok nest -> (
-          match Lower.raise_nest nest with
-          | Ok op -> nest_digest op
-          | Error _ -> Loop_nest.digest nest)
-      | Error _ -> Digest.to_hex (Digest.string ("ir:" ^ s)))
-
 (* One lockstep batched rollout: every active episode contributes a row
    to a single greedy forward pass per step. act_greedy_batch is
    row-independent, so this computes exactly what per-op greedy_rollout

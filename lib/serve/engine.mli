@@ -30,9 +30,9 @@ type config = {
           reward prices one state, so it costs about one stall; result
           and state-cache hits stay instant, and with [jobs > 1] the
           pool domains overlap their stalls. Serving latency is then
-          measurement-bound the way production is, and fleet
-          benchmarks scale with replicas instead of with this host's
-          core count. 0 (off) by default. *)
+          measurement-bound the way production is. Throughput gained
+          by overlapping these stalls is overlap of emulated sleeps,
+          not compute scaling. 0 (off) by default. *)
   jobs : int;
       (** rollout parallelism (default 1; {!create} rejects values
           below 1). Above 1 the engine owns a {!Util.Domain_pool} of
@@ -85,15 +85,6 @@ val nest_digest : Linalg.t -> string
 
 val cache_key : t -> Linalg.t -> string
 (** The result-cache key: {!nest_digest} of the op. *)
-
-val target_digest : Protocol.target -> string
-(** Routing key for the fleet supervisor: {!nest_digest} of the parsed
-    target, so it equals the replica-side {!cache_key} whenever the
-    target parses (consistent-hash routing then keeps each digest on
-    the replica whose cache is already hot for it, whether the nest
-    arrived as a spec or as IR). Targets that do not parse hash their
-    raw text instead — every replica answers those with the same
-    error, so placement is irrelevant. Needs no engine. *)
 
 val solve_batch :
   t -> Linalg.t array -> (outcome, Protocol.error_code * string) result array

@@ -28,12 +28,10 @@ let reply_callback conn response =
   Condition.broadcast conn.cond;
   Mutex.unlock conn.lock
 
-type handler = Protocol.request -> (Protocol.response -> unit) -> unit
-
-let serve_channels_handler handler ic oc =
+let serve_channels server ic oc =
   (* write_line's [Sys_error] catch only sees a client hang-up if the
      broken-pipe write raises instead of delivering a fatal SIGPIPE. *)
-  Replica.ignore_sigpipe ();
+  Client.ignore_sigpipe ();
   let conn = { out = oc; lock = Mutex.create (); cond = Condition.create (); outstanding = 0 } in
   (try
      while true do
@@ -53,7 +51,7 @@ let serve_channels_handler handler ic oc =
              Mutex.lock conn.lock;
              conn.outstanding <- conn.outstanding + 1;
              Mutex.unlock conn.lock;
-             handler req (reply_callback conn)
+             Server.submit server req (reply_callback conn)
      done
    with End_of_file -> ());
   Mutex.lock conn.lock;
@@ -62,18 +60,14 @@ let serve_channels_handler handler ic oc =
   done;
   Mutex.unlock conn.lock
 
-let serve_channels server ic oc =
-  serve_channels_handler (Server.submit server) ic oc
-
-let listen_unix_handler ?(backlog = 16) handler ~path =
-  Replica.ignore_sigpipe ();
+let listen_unix ?(backlog = 16) server ~path =
+  Client.ignore_sigpipe ();
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock backlog;
-  (* A signal (e.g. the fleet's SIGTERM handler poking its shutdown
-     pipe) interrupts accept with EINTR; that must restart the loop,
-     not crash the front door out from under the shutdown thread. *)
+  (* A signal delivered to the process interrupts accept with EINTR;
+     that must restart the loop, not crash the daemon. *)
   let rec accept_retry () =
     match Unix.accept sock with
     | r -> r
@@ -86,12 +80,9 @@ let listen_unix_handler ?(backlog = 16) handler ~path =
         (fun fd ->
           let ic = Unix.in_channel_of_descr fd in
           let oc = Unix.out_channel_of_descr fd in
-          (try serve_channels_handler handler ic oc with _ -> ());
+          (try serve_channels server ic oc with _ -> ());
           try Unix.close fd with Unix.Unix_error _ -> ())
         fd
     in
     ()
   done
-
-let listen_unix ?backlog server ~path =
-  listen_unix_handler ?backlog (Server.submit server) ~path

@@ -1,5 +1,5 @@
-(** Transports for {!Server}, layer 4 of [lib/serve]: the only layer
-    that touches file descriptors. One request line in, one response
+(** Transports for {!Server}, layer 4 of [lib/serve]: the server side
+    of the file descriptors ({!Client} is the other side). One request line in, one response
     line out ({!Protocol} framing); lines that do not decode are
     answered with an [invalid_request] error reply rather than dropped,
     so a client always gets exactly one response per line sent.
@@ -8,18 +8,6 @@
     callback on, serialized per output channel by an internal lock, and
     flushed per line — interleaving across in-flight requests is
     expected, clients correlate by id. *)
-
-type handler = Protocol.request -> (Protocol.response -> unit) -> unit
-(** Whatever answers requests behind a transport: [Server.submit s]
-    for a single-engine daemon, [fun req k -> k (Supervisor.call s req)]
-    for the fleet front door. The callback may be invoked on any
-    thread, synchronously or later; exactly once per request. *)
-
-val serve_channels_handler : handler -> in_channel -> out_channel -> unit
-(** {!serve_channels} generalized over the {!handler}. *)
-
-val listen_unix_handler : ?backlog:int -> handler -> path:string -> unit
-(** {!listen_unix} generalized over the {!handler}. *)
 
 val serve_channels : Server.t -> in_channel -> out_channel -> unit
 (** The stdin/stdout frontend: read request lines until EOF, then wait

@@ -19,7 +19,6 @@ type hist = {
 type t = {
   mutex : Mutex.t;
   counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
 }
 
@@ -27,7 +26,6 @@ let create () =
   {
     mutex = Mutex.create ();
     counters = Hashtbl.create 16;
-    gauges = Hashtbl.create 16;
     hists = Hashtbl.create 16;
   }
 
@@ -44,18 +42,6 @@ let incr t ?(by = 1) name =
 let counter t name =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0)
-
-(* Gauges are point-in-time values (replica up/down, breaker state) —
-   set absolutely, never accumulated. *)
-let set_gauge t name v =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.gauges name with
-      | Some r -> r := v
-      | None -> Hashtbl.replace t.gauges name (ref v))
-
-let gauge t name =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.gauges name with Some r -> Some !r | None -> None)
 
 let make_hist () =
   let bounds = Array.init n_buckets (fun i -> base_bound *. (ratio ** float_of_int i)) in
@@ -124,12 +110,6 @@ let render t =
         (sorted_keys t.counters);
       List.iter
         (fun name ->
-          let v = !(Hashtbl.find t.gauges name) in
-          Buffer.add_string buf
-            (Printf.sprintf "# TYPE %s gauge\n%s %s\n" name name (float_str v)))
-        (sorted_keys t.gauges);
-      List.iter
-        (fun name ->
           let h = Hashtbl.find t.hists name in
           Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" name);
           let cum = ref 0 in
@@ -149,15 +129,13 @@ let render t =
 let stats_line t =
   (* Quantiles call back into the lock, so gather the raw data under the
      lock and format outside it. *)
-  let counters, gauges, hists =
+  let counters, hists =
     with_lock t (fun () ->
         ( List.map (fun k -> (k, !(Hashtbl.find t.counters k))) (sorted_keys t.counters),
-          List.map (fun k -> (k, !(Hashtbl.find t.gauges k))) (sorted_keys t.gauges),
-          List.map (fun k -> k) (sorted_keys t.hists) ))
+          sorted_keys t.hists ))
   in
   let parts =
     List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters
-    @ List.map (fun (k, v) -> Printf.sprintf "%s=%s" k (float_str v)) gauges
     @ List.concat_map
         (fun k ->
           let p50 = match quantile t k 0.5 with Some v -> v | None -> 0.0 in
@@ -171,135 +149,3 @@ let stats_line t =
         hists
   in
   String.concat " " parts
-
-(* -- merging rendered dumps -------------------------------------------
-
-   The fleet supervisor scrapes each replica's Prometheus dump and
-   serves one merged view: counters and histogram buckets sum across
-   replicas (every replica renders the same bucket bounds, so summing
-   the cumulative counts per upper bound is exact), gauges sum too
-   (fleet totals of per-replica levels). Only the format produced by
-   {!render} is understood; unparseable lines are dropped rather than
-   guessed at. *)
-
-type merge_acc = {
-  mutable m_kind : string; (* "counter" | "gauge" | "histogram" *)
-  m_buckets : (string, float) Hashtbl.t; (* le -> cumulative count *)
-  mutable m_sum : float;
-  mutable m_count : float;
-  mutable m_value : float; (* counters and gauges *)
-}
-
-let merge_rendered dumps =
-  let accs : (string, merge_acc) Hashtbl.t = Hashtbl.create 32 in
-  let acc name kind =
-    match Hashtbl.find_opt accs name with
-    | Some a -> a
-    | None ->
-        let a =
-          {
-            m_kind = kind;
-            m_buckets = Hashtbl.create 8;
-            m_sum = 0.0;
-            m_count = 0.0;
-            m_value = 0.0;
-          }
-        in
-        Hashtbl.replace accs name a;
-        a
-  in
-  let strip_suffix s suf =
-    let n = String.length s and m = String.length suf in
-    if n > m && String.sub s (n - m) m = suf then Some (String.sub s 0 (n - m))
-    else None
-  in
-  let handle_sample name value =
-    match String.index_opt name '{' with
-    | Some i -> (
-        (* NAME_bucket{le="BOUND"} *)
-        match strip_suffix (String.sub name 0 i) "_bucket" with
-        | None -> ()
-        | Some base ->
-            let rest = String.sub name i (String.length name - i) in
-            let le =
-              match (String.index_opt rest '"', String.rindex_opt rest '"') with
-              | Some a, Some b when b > a -> String.sub rest (a + 1) (b - a - 1)
-              | _ -> ""
-            in
-            if le <> "" then begin
-              let a = acc base "histogram" in
-              let prev =
-                Option.value ~default:0.0 (Hashtbl.find_opt a.m_buckets le)
-              in
-              Hashtbl.replace a.m_buckets le (prev +. value)
-            end)
-    | None -> (
-        match strip_suffix name "_sum" with
-        | Some base when Hashtbl.mem accs base ->
-            (acc base "histogram").m_sum <- (acc base "histogram").m_sum +. value
-        | _ -> (
-            match strip_suffix name "_count" with
-            | Some base when Hashtbl.mem accs base ->
-                (acc base "histogram").m_count <-
-                  (acc base "histogram").m_count +. value
-            | _ ->
-                (* TYPE lines precede samples in rendered dumps, so the
-                   kind is already registered; default to counter. *)
-                let a = acc name "counter" in
-                a.m_value <- a.m_value +. value))
-  in
-  List.iter
-    (fun dump ->
-      String.split_on_char '\n' dump
-      |> List.iter (fun line ->
-             let line = String.trim line in
-             if line = "" then ()
-             else if String.length line > 0 && line.[0] = '#' then begin
-               match String.split_on_char ' ' line with
-               | [ "#"; "TYPE"; name; kind ] -> (acc name kind).m_kind <- kind
-               | _ -> ()
-             end
-             else
-               match String.rindex_opt line ' ' with
-               | None -> ()
-               | Some i -> (
-                   let name = String.sub line 0 i in
-                   let v = String.sub line (i + 1) (String.length line - i - 1) in
-                   match float_of_string_opt v with
-                   | Some value -> handle_sample name value
-                   | None -> ())))
-    dumps;
-  let names = List.sort String.compare (Hashtbl.fold (fun k _ l -> k :: l) accs []) in
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun name ->
-      let a = Hashtbl.find accs name in
-      match a.m_kind with
-      | "histogram" ->
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" name);
-          let les = Hashtbl.fold (fun le c l -> (le, c) :: l) a.m_buckets [] in
-          let les =
-            List.sort
-              (fun (a, _) (b, _) ->
-                let key le =
-                  if le = "+Inf" then Float.infinity
-                  else Option.value ~default:Float.infinity (float_of_string_opt le)
-                in
-                compare (key a) (key b))
-              les
-          in
-          List.iter
-            (fun (le, c) ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket{le=\"%s\"} %s\n" name le (float_str c)))
-            les;
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum %s\n" name (float_str a.m_sum));
-          Buffer.add_string buf
-            (Printf.sprintf "%s_count %s\n" name (float_str a.m_count))
-      | kind ->
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind);
-          Buffer.add_string buf
-            (Printf.sprintf "%s %s\n" name (float_str a.m_value)))
-    names;
-  Buffer.contents buf

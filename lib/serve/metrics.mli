@@ -23,17 +23,6 @@ val incr : t -> ?by:int -> string -> unit
 val counter : t -> string -> int
 (** Current value; 0 for a counter never bumped. *)
 
-(** {1 Gauges}
-
-    Point-in-time levels (replica up/down, breaker state, queue depth)
-    — set absolutely rather than accumulated. *)
-
-val set_gauge : t -> string -> float -> unit
-(** Set gauge [name] to [v], creating it if needed. *)
-
-val gauge : t -> string -> float option
-(** Current value; [None] for a gauge never set. *)
-
 (** {1 Histograms}
 
     Observations are non-negative floats (seconds, batch sizes, ...).
@@ -61,13 +50,6 @@ val render : t -> string
     is reproducible. *)
 
 val stats_line : t -> string
-(** Compact single-line [k=v k=v ...] summary: every counter and gauge,
+(** Compact single-line [k=v k=v ...] summary: every counter,
     plus [NAME_count], [NAME_sum] (and [NAME_p50]/[NAME_p99] as
     upper-bound estimates) per histogram. Sorted, space-separated. *)
-
-val merge_rendered : string list -> string
-(** Merge several {!render}-format dumps into one: counters and gauges
-    sum, histogram buckets sum per upper bound (exact, because every
-    registry renders identical bounds), [_sum]/[_count] sum. The fleet
-    supervisor uses this to serve one aggregated view of its replicas'
-    scrapes. Lines that do not parse are dropped. *)

@@ -18,8 +18,6 @@ type error_code =
   | Deadline_exceeded
   | Env_failure
   | Shutting_down
-  | Unavailable
-  | Upstream_failure
 
 type reply = {
   r_id : string;
@@ -53,8 +51,6 @@ let error_code_to_string = function
   | Deadline_exceeded -> "deadline_exceeded"
   | Env_failure -> "env_failure"
   | Shutting_down -> "shutting_down"
-  | Unavailable -> "unavailable"
-  | Upstream_failure -> "upstream_failure"
 
 let error_code_of_string = function
   | "parse_error" -> Some Parse_error
@@ -64,8 +60,6 @@ let error_code_of_string = function
   | "deadline_exceeded" -> Some Deadline_exceeded
   | "env_failure" -> Some Env_failure
   | "shutting_down" -> Some Shutting_down
-  | "unavailable" -> Some Unavailable
-  | "upstream_failure" -> Some Upstream_failure
   | _ -> None
 
 (* -- escaping --------------------------------------------------------- *)

@@ -56,13 +56,6 @@ type error_code =
   | Deadline_exceeded
   | Env_failure  (** the rollout failed; message carries the detail *)
   | Shutting_down  (** the server is draining and admits no new work *)
-  | Unavailable
-      (** fleet front door: no healthy replica to route to (all down,
-          restarting, or shedding through an open circuit breaker) *)
-  | Upstream_failure
-      (** fleet front door: the replica serving this request died,
-          stalled past its deadline or answered garbage, and the one
-          bounded hedged retry also failed *)
 
 type reply = {
   r_id : string;

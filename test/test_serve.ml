@@ -10,7 +10,10 @@
      round-trips, cache behavior, batch-independent determinism;
    - Server: the end-to-end acceptance property — identical requests
      produce byte-identical reply lines whether or not they hit the
-     cache — plus shed, deadline, drain idempotence. *)
+     cache — plus shed, deadline, drain idempotence;
+   - Client: [call_once] against real Unix sockets (threads only, no
+     fork) — nobody listening, a silent peer, a garbled reply, and a
+     real [Frontend.listen_unix] daemon. *)
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -62,8 +65,7 @@ let gen_response =
         Serve.Protocol.
           [
             Parse_error; Invalid_request; Unsupported; Overloaded;
-            Deadline_exceeded; Env_failure; Shutting_down; Unavailable;
-            Upstream_failure;
+            Deadline_exceeded; Env_failure; Shutting_down;
           ]
     in
     oneofl
@@ -600,6 +602,106 @@ let test_server_drain_idempotent () =
   | Serve.Protocol.Error_reply { code = Serve.Protocol.Shutting_down; _ } -> ()
   | _ -> Alcotest.fail "post-drain optimize should answer shutting_down"
 
+(* ------------------------------------------------------------------ *)
+(* Client (real Unix sockets, threads only)                           *)
+(* ------------------------------------------------------------------ *)
+
+let temp_socket_path () =
+  let path = Filename.temp_file "serve-client" ".sock" in
+  Sys.remove path;
+  path
+
+(* A one-connection listener: bound and listening before [f] runs (so
+   the client never races the bind), one thread accepts and runs
+   [peer] on the connection. *)
+let with_peer peer f =
+  let path = temp_socket_path () in
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_UNIX path);
+  Unix.listen sock 1;
+  let t =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept sock in
+        peer fd;
+        Unix.close fd)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join t;
+      Unix.close sock;
+      Sys.remove path)
+    (fun () -> f path)
+
+let ping = Serve.Protocol.Ping { id = "p1" }
+
+let test_client_no_listener () =
+  match
+    Serve.Client.call_once ~socket:(temp_socket_path ()) ~timeout_s:1.0 ping
+  with
+  | Error (Serve.Client.Connection _) -> ()
+  | _ -> Alcotest.fail "no listener should be a typed connection error"
+
+let test_client_silent_peer_times_out () =
+  (* The peer reads until the client hangs up and never answers. *)
+  let silent fd =
+    let ic = Unix.in_channel_of_descr fd in
+    try
+      while true do
+        ignore (input_line ic)
+      done
+    with End_of_file | Sys_error _ -> ()
+  in
+  with_peer silent (fun path ->
+      let t0 = Unix.gettimeofday () in
+      (match Serve.Client.call_once ~socket:path ~timeout_s:0.1 ping with
+      | Error Serve.Client.Timeout -> ()
+      | _ -> Alcotest.fail "a silent peer should be a typed timeout");
+      check "timeout honoured promptly" true (Unix.gettimeofday () -. t0 < 5.0))
+
+let test_client_garbled_reply () =
+  let garbler fd =
+    ignore (input_line (Unix.in_channel_of_descr fd));
+    ignore (Unix.write_substring fd "garbage\n" 0 8)
+  in
+  with_peer garbler (fun path ->
+      match Serve.Client.call_once ~socket:path ~timeout_s:5.0 ping with
+      | Error (Serve.Client.Garbled _) -> ()
+      | _ -> Alcotest.fail "an undecodable reply should be typed garbled")
+
+let test_client_real_daemon () =
+  let server, _ = mk_server () in
+  let path = temp_socket_path () in
+  (* listen_unix serves until the process exits; its accept thread is
+     left blocked once the test is done. *)
+  let (_ : Thread.t) =
+    Thread.create (fun () -> Serve.Frontend.listen_unix server ~path) ()
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec await_pong () =
+    match Serve.Client.call_once ~socket:path ~timeout_s:1.0 ping with
+    | Ok (Serve.Protocol.Pong { p_id = "p1" }) -> ()
+    | Error (Serve.Client.Connection _) when Unix.gettimeofday () < deadline ->
+        Thread.delay 0.01;
+        await_pong ()
+    | Ok r ->
+        Alcotest.failf "unexpected reply %s" (Serve.Protocol.encode_response r)
+    | Error e -> Alcotest.failf "ping failed: %s" (Serve.Client.error_to_string e)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.drain server;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      await_pong ();
+      match
+        Serve.Client.call_once ~socket:path ~timeout_s:30.0
+          (optimize "o1" "matmul:8x8x8")
+      with
+      | Ok (Serve.Protocol.Ok_reply { r_id = "o1"; _ }) -> ()
+      | _ -> Alcotest.fail "optimize over the socket should answer ok")
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_escape_roundtrip;
@@ -639,4 +741,12 @@ let suite =
       test_server_sheds_when_full;
     Alcotest.test_case "server drain is idempotent and concurrent-safe" `Quick
       test_server_drain_idempotent;
+      Alcotest.test_case "client: no listener is a connection error" `Quick
+      test_client_no_listener;
+    Alcotest.test_case "client: silent peer times out" `Quick
+      test_client_silent_peer_times_out;
+    Alcotest.test_case "client: garbled reply is typed" `Quick
+      test_client_garbled_reply;
+    Alcotest.test_case "client: round trip to a listen_unix daemon" `Quick
+      test_client_real_daemon;
   ]

@@ -169,6 +169,32 @@ let test_atomic_exception_cleans_tmp () =
   Sys.remove path;
   Sys.rmdir dir
 
+let test_atomic_write_overwrite_abort () =
+  let dir = Filename.temp_file "atomic-test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let path = Filename.concat dir "artifact.json" in
+  Util.Atomic_file.write_string ~path "{\"v\": 1}\n";
+  Alcotest.(check string) "first write lands" "{\"v\": 1}\n" (read_file path);
+  Util.Atomic_file.write_string ~path "{\"v\": 2}\n";
+  Alcotest.(check string)
+    "overwrite replaces content" "{\"v\": 2}\n" (read_file path);
+  (* A writer that dies mid-dump must leave the old content intact and
+     no temp debris behind. *)
+  (try
+     Util.Atomic_file.with_out ~path (fun oc ->
+         output_string oc "half-written garbage";
+         failwith "simulated crash")
+   with Failure _ -> ());
+  Alcotest.(check string)
+    "aborted write leaves the previous content" "{\"v\": 2}\n"
+    (read_file path);
+  Alcotest.(check int)
+    "no temp files left behind" 1
+    (Array.length (Sys.readdir dir));
+  Sys.remove path;
+  Sys.rmdir dir
+
 let qcheck_geomean_le_mean =
   QCheck.Test.make ~name:"geomean <= mean (AM-GM)" ~count:200
     QCheck.(list_of_size (Gen.int_range 1 20) (float_range 0.01 100.0))
@@ -212,6 +238,8 @@ let suite =
       test_atomic_parent_missing;
     Alcotest.test_case "atomic file: exception cleans tmp" `Quick
       test_atomic_exception_cleans_tmp;
+    Alcotest.test_case "atomic file: write, overwrite, abort" `Quick
+      test_atomic_write_overwrite_abort;
     QCheck_alcotest.to_alcotest qcheck_geomean_le_mean;
     QCheck_alcotest.to_alcotest qcheck_rng_int_in_range;
   ]
